@@ -85,19 +85,19 @@ def _format_eigenvalue(value: float) -> str:
     return f"{sign}{whole}.{frac:012d}"
 
 
-def _summary_fields(state, report, norm_error: float):
+def _write_record(sink, step, t, state, *, delta_price, delta_owner, product, bound, norm_error):
     probs = np.abs(state.values) ** 2
     owner = np.abs(plan_for(state.size, "forward").apply(state.values)) ** 2
     idx = np.arange(state.size)
-    return {
+    sink.write_record(step, t, probs, owner, {
         "mean_price": float(np.dot(idx, probs)),
         "mean_owner": float(np.dot(idx, owner)),
-        "delta_price": report.delta_price,
-        "delta_owner": report.delta_owner,
-        "product": report.product,
-        "bound": report.bound,
+        "delta_price": delta_price,
+        "delta_owner": delta_owner,
+        "product": product,
+        "bound": bound,
         "norm_error": norm_error,
-    }, probs, owner
+    })
 
 
 class _CsvSink:
@@ -209,10 +209,15 @@ def _load_scenario(path: str) -> Scenario:
 def cmd_state(scenario: Scenario, quiet: bool) -> int:
     state = build_initial_state(scenario)
     report = uncertainty_product_report(state)
-    norm_error = abs(norm(state.base) - 1.0)
-    summary, probs, owner = _summary_fields(state, report, norm_error)
     sink = _make_sink(scenario)
-    sink.write_record(0, 0.0, probs, owner, summary)
+    _write_record(
+        sink, 0, 0.0, state,
+        delta_price=report.delta_price,
+        delta_owner=report.delta_owner,
+        product=report.product,
+        bound=report.bound,
+        norm_error=abs(norm(state.base) - 1.0),
+    )
     sink.close()
     if not quiet and scenario.output.path is not None:
         print(f"state: N={scenario.size}, output written to {scenario.output.path}")
@@ -259,26 +264,21 @@ def cmd_evolve(scenario: Scenario, quiet: bool) -> int:
             state0, params, scenario.evolution.potential, scenario.output.record_every
         ):
             step = round((record.time - params.t0) / params.dt)
-            report_fields = {
-                "mean_price": record.mean_price,
-                "mean_owner": 0.0,
-                "delta_price": record.delta_price,
-                "delta_owner": record.delta_owner,
-                "product": record.uncertainty_product,
-                "bound": record.uncertainty_bound,
-                "norm_error": record.norm_error,
-            }
-            probs = np.abs(record.state.values) ** 2
-            owner = np.abs(plan_for(scenario.size, "forward").apply(record.state.values)) ** 2
-            report_fields["mean_owner"] = float(np.dot(np.arange(scenario.size), owner))
-            sink.write_record(step, record.time, probs, owner, report_fields)
+            _write_record(
+                sink, step, record.time, record.state,
+                delta_price=record.delta_price,
+                delta_owner=record.delta_owner,
+                product=record.uncertainty_product,
+                bound=record.uncertainty_bound,
+                norm_error=record.norm_error,
+            )
             count += 1
             max_norm_error = max(max_norm_error, record.norm_error)
-    except ConservationError as exc:
+    except _NUMERIC_ERRORS:
+        # close both outputs with the marker; main() reports the error
         sink.write_truncation_marker()
         sink.close()
-        print(f"evolve: conservation violation: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        raise
     sink.close()
     if not quiet:
         print(f"evolve: {count} records, max norm_error {format_number(max_norm_error)}")

@@ -197,11 +197,12 @@ def strang_step(phi, t: float, params: EvolutionParams, potential: Potential) ->
 
 
 def _evaluated_potential(potential: Potential, size: int, t: float) -> np.ndarray:
-    v = np.asarray(potential.evaluate(np.arange(size), t), dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        v = np.asarray(potential.evaluate(np.arange(size), t), dtype=np.float64)
     if v.shape != (size,):
         raise DimensionError(f"potential produced shape {v.shape} for size {size}")
     if not np.all(np.isfinite(v)):
-        raise ValueError("potential values must be finite")
+        raise NumericalConsistencyError(f"potential is not finite at t = {t!r}")
     return v
 
 

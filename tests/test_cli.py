@@ -5,7 +5,13 @@ import sys
 import numpy as np
 import pytest
 
-from stockwave import ConservationError, cli
+from stockwave import (
+    ConservationError,
+    DimensionError,
+    InvariantViolationError,
+    NumericalConsistencyError,
+    cli,
+)
 
 
 def run_cli(args):
@@ -166,7 +172,10 @@ def test_evolve_dt_zero_rejected(tmp_path, capsys):
     assert "evolution.dt" in capsys.readouterr().err
 
 
-def test_evolve_truncation_marker(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "error", [ConservationError, NumericalConsistencyError, InvariantViolationError, DimensionError]
+)
+def test_evolve_truncation_marker(tmp_path, monkeypatch, capsys, error):
     doc = {
         "N": 4,
         "state": {"type": "delta", "m": 0},
@@ -179,16 +188,38 @@ def test_evolve_truncation_marker(tmp_path, monkeypatch, capsys):
         from stockwave.evolution import evolve as lib_evolve
 
         yield next(lib_evolve(phi0, params, potential, record_every))
-        raise ConservationError("synthetic drift")
+        raise error("synthetic failure")
 
     monkeypatch.setattr(cli, "evolve", failing_evolve)
     assert run_cli(["--quiet", "evolve", "--config", config]) == 2
-    assert "conservation" in capsys.readouterr().err
+    assert capsys.readouterr().err == "stockwave: synthetic failure\n"
     header, rows = read_csv(tmp_path / "run.csv")
     assert rows[-1][0] == "TRUNCATED"
     assert len(rows) == 4 + 1  # one record group plus the marker
     _, srows = read_csv(tmp_path / "run_summary.csv")
     assert srows[-1][0] == "TRUNCATED"
+
+
+@pytest.mark.filterwarnings("error")
+def test_evolve_overflowing_potential_truncates(tmp_path, capsys):
+    doc = {
+        "N": 21,
+        "state": {"type": "delta", "m": 3},
+        "evolution": {
+            "mu": 1.0,
+            "dt": 0.01,
+            "steps": 5,
+            "potential": {"type": "harmonic", "center": 0.0, "strength": 1e308},
+        },
+        "output": {"format": "csv", "path": str(tmp_path / "run.csv")},
+    }
+    config = write_config(tmp_path, doc)
+    assert run_cli(["--quiet", "evolve", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("stockwave: ") and err.count("\n") == 1
+    for name in ("run.csv", "run_summary.csv"):
+        _, rows = read_csv(tmp_path / name)
+        assert rows[-1][0] == "TRUNCATED"
 
 
 def test_missing_config_is_io_error(tmp_path, capsys):

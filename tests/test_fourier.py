@@ -64,12 +64,18 @@ def test_inverse_constant_is_delta0():
 
 def test_naive_agrees_with_fast_path():
     rng = np.random.default_rng(17)
-    for size in (8, 21, 64, 100):
+    for size in (1, 2, 8, 21, 33, 64, 100, 1031):
+        fft_inverse = plan_for(size, "inverse", "fft")
+        kernel_inverse = dft_matrix(size, "inverse")
         for _ in range(100):
             phi = random_lattice_function(rng, size)
             fast = forward(phi).values
             slow = forward_naive(phi).values
             assert np.max(np.abs(fast - slow)) < 1e-11
+            forced = plan_for(size, "forward", "fft").apply(phi.values)
+            assert np.max(np.abs(forced - slow)) < 1e-11
+            back = fft_inverse.apply(phi.values)
+            assert np.max(np.abs(back - kernel_inverse @ phi.values)) < 1e-11
 
 
 def test_naive_delta0_n9():
@@ -105,10 +111,10 @@ def test_fourth_power_is_identity():
         assert np.max(np.abs(out.values - phi.values)) < 1e-10
 
 
-def test_bluestein_equals_naive_including_primes():
+def test_fft_equals_naive_including_primes():
     rng = np.random.default_rng(37)
     for size in (8, 13, 21, 64, 101):
-        plan = FourierPlan(size, "forward", "bluestein")
+        plan = FourierPlan(size, "forward", "fft")
         for _ in range(10):
             phi = random_lattice_function(rng, size)
             assert np.max(np.abs(plan.apply(phi.values) - forward_naive(phi).values)) < 1e-11
@@ -116,15 +122,16 @@ def test_bluestein_equals_naive_including_primes():
 
 def test_phase_tables_on_unit_circle():
     for size in (7, 21, 50):
-        for method in ("direct", "bluestein"):
-            plan = FourierPlan(size, "forward", method)
-            assert np.max(np.abs(np.abs(plan.phases) - 1.0)) <= 1e-14
+        plan = FourierPlan(size, "forward", "direct")
+        assert np.max(np.abs(np.abs(plan.phases) - 1.0)) <= 1e-14
 
 
 def test_plan_size_mismatch():
     plan = plan_for(8, "forward")
     with pytest.raises(DimensionError):
         forward(LatticeFunction(np.ones(9)), plan)
+    with pytest.raises(DimensionError):
+        plan_for(64, "forward", "fft").apply(np.ones(65))
 
 
 def test_plan_direction_mismatch():
