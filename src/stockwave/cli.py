@@ -2,7 +2,8 @@
 
 Commands:
     state --config FILE        price/owner distributions and summary
-    spectrum --n N [--json]    commutator eigenvalues, ascending
+    spectrum --n N [--json]    commutator eigenvalues, ascending; dense,
+                               so 2 <= N <= MAX_DENSE_SIZE (2048)
     uncertainty --config FILE  Robertson-relation report for the state
     evolve --config FILE       time evolution per the scenario
 
@@ -18,8 +19,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import (
     ConservationError,
     ContractError,
@@ -29,9 +28,8 @@ from .errors import (
     InvariantViolationError,
     NumericalConsistencyError,
 )
-from .fourier import plan_for
 from .lattice import norm
-from .operators import commutator_spectrum, uncertainty_product_report
+from .operators import MAX_DENSE_SIZE, commutator_spectrum, uncertainty_product_report
 from .evolution import evolve
 from .scenario import Scenario, ScenarioError, build_initial_state, parse_scenario
 
@@ -85,17 +83,14 @@ def _format_eigenvalue(value: float) -> str:
     return f"{sign}{whole}.{frac:012d}"
 
 
-def _write_record(sink, step, t, state, *, delta_price, delta_owner, product, bound, norm_error):
-    probs = np.abs(state.values) ** 2
-    owner = np.abs(plan_for(state.size, "forward").apply(state.values)) ** 2
-    idx = np.arange(state.size)
-    sink.write_record(step, t, probs, owner, {
-        "mean_price": float(np.dot(idx, probs)),
-        "mean_owner": float(np.dot(idx, owner)),
-        "delta_price": delta_price,
-        "delta_owner": delta_owner,
-        "product": product,
-        "bound": bound,
+def _write_record(sink, step, t, report, norm_error):
+    sink.write_record(step, t, report.prob_price, report.prob_owner, {
+        "mean_price": report.mean_price,
+        "mean_owner": report.mean_owner,
+        "delta_price": report.delta_price,
+        "delta_owner": report.delta_owner,
+        "product": report.product,
+        "bound": report.bound,
         "norm_error": norm_error,
     })
 
@@ -210,14 +205,7 @@ def cmd_state(scenario: Scenario, quiet: bool) -> int:
     state = build_initial_state(scenario)
     report = uncertainty_product_report(state)
     sink = _make_sink(scenario)
-    _write_record(
-        sink, 0, 0.0, state,
-        delta_price=report.delta_price,
-        delta_owner=report.delta_owner,
-        product=report.product,
-        bound=report.bound,
-        norm_error=abs(norm(state.base) - 1.0),
-    )
+    _write_record(sink, 0, 0.0, report, abs(norm(state.base) - 1.0))
     sink.close()
     if not quiet and scenario.output.path is not None:
         print(f"state: N={scenario.size}, output written to {scenario.output.path}")
@@ -237,6 +225,8 @@ def cmd_uncertainty(scenario: Scenario, quiet: bool) -> int:
 def cmd_spectrum(size: int, as_json: bool) -> int:
     if size < 2:
         raise UsageError("spectrum requires --n >= 2")
+    if size > MAX_DENSE_SIZE:
+        raise UsageError(f"spectrum requires --n <= {MAX_DENSE_SIZE} (dense N x N path)")
     result = commutator_spectrum(size)
     if as_json:
         doc = {
@@ -264,22 +254,15 @@ def cmd_evolve(scenario: Scenario, quiet: bool) -> int:
             state0, params, scenario.evolution.potential, scenario.output.record_every
         ):
             step = round((record.time - params.t0) / params.dt)
-            _write_record(
-                sink, step, record.time, record.state,
-                delta_price=record.delta_price,
-                delta_owner=record.delta_owner,
-                product=record.uncertainty_product,
-                bound=record.uncertainty_bound,
-                norm_error=record.norm_error,
-            )
+            _write_record(sink, step, record.time, record.report, record.norm_error)
             count += 1
             max_norm_error = max(max_norm_error, record.norm_error)
-    except _NUMERIC_ERRORS:
-        # close both outputs with the marker; main() reports the error
+    except BaseException:
+        # keep the partial output, marked; main() reports the error
         sink.write_truncation_marker()
-        sink.close()
         raise
-    sink.close()
+    finally:
+        sink.close()
     if not quiet:
         print(f"evolve: {count} records, max norm_error {format_number(max_norm_error)}")
     return EXIT_OK
@@ -294,7 +277,9 @@ def _build_parser() -> _Parser:
     state_p.add_argument("--config", required=True, help="scenario JSON file")
 
     spectrum_p = sub.add_parser("spectrum", help="commutator eigenvalues")
-    spectrum_p.add_argument("--n", type=int, required=True, help="lattice size (>= 2)")
+    spectrum_p.add_argument(
+        "--n", type=int, required=True, help=f"lattice size (2 to {MAX_DENSE_SIZE})"
+    )
     spectrum_p.add_argument("--json", action="store_true", help="emit JSON with residual")
 
     unc_p = sub.add_parser("uncertainty", help="Robertson-relation report")

@@ -23,6 +23,7 @@ from .fourier import plan_for
 from .lattice import LatticeFunction, NormalizedState
 from .operators import (
     LinearOperatorRepr,
+    UncertaintyReport,
     ownership_operator,
     uncertainty_product_report,
 )
@@ -148,16 +149,8 @@ class TrajectoryRecord:
 
     time: float
     state: NormalizedState
-    mean_price: float
-    delta_price: float
-    delta_owner: float
-    uncertainty_product: float
-    uncertainty_bound: float
+    report: UncertaintyReport
     norm_error: float
-
-
-def _values_of(phi) -> np.ndarray:
-    return phi.values
 
 
 def _kinetic_phases(size: int, dt: float, mu: float) -> np.ndarray:
@@ -165,35 +158,39 @@ def _kinetic_phases(size: int, dt: float, mu: float) -> np.ndarray:
     return np.exp(-1j * dt * k * k / (2.0 * mu))
 
 
-def _apply_kinetic(values, phases, fwd_plan, inv_plan):
-    return inv_plan.apply(fwd_plan.apply(values) * phases)
+def _potential_phase(potential: Potential, size: int, dt: float, t: float) -> np.ndarray:
+    return np.exp(-1j * dt * _evaluated_potential(potential, size, t))
+
+
+def _kinetic(values, phases):
+    """Multiply by the owner-diagonal ``phases`` through the owner basis."""
+    size = values.size
+    return plan_for(size, "inverse").apply(plan_for(size, "forward").apply(values) * phases)
+
+
+def _strang(values, half_phases, phase):
+    """The one K(dt/2) . V . K(dt/2) body; ``phase`` is exp(-i*dt*V(t_mid))."""
+    return _kinetic(_kinetic(values, half_phases) * phase, half_phases)
 
 
 def kinetic_half_step(phi, dt: float, mu: float) -> LatticeFunction:
     """Apply exp(-i*(dt/2)*O^2/(2*mu)) through the owner basis."""
     if not (mu > 0.0):
         raise ValueError("mu must be positive")
-    values = _values_of(phi)
-    size = values.size
-    phases = _kinetic_phases(size, dt / 2.0, mu)
-    return LatticeFunction(
-        _apply_kinetic(values, phases, plan_for(size, "forward"), plan_for(size, "inverse"))
-    )
+    return LatticeFunction(_kinetic(phi.values, _kinetic_phases(phi.size, dt / 2.0, mu)))
 
 
 def potential_full_step(phi, dt: float, potential: Potential, t_mid: float) -> LatticeFunction:
     """Multiply by the pure phase exp(-i*dt*V(n, t_mid))."""
-    values = _values_of(phi)
-    v = _evaluated_potential(potential, values.size, t_mid)
-    return LatticeFunction(values * np.exp(-1j * dt * v))
+    return LatticeFunction(phi.values * _potential_phase(potential, phi.size, dt, t_mid))
 
 
 def strang_step(phi, t: float, params: EvolutionParams, potential: Potential) -> LatticeFunction:
     """Advance one step dt from time t; the potential is sampled at the
     interval midpoint to keep second-order accuracy."""
-    half = kinetic_half_step(phi, params.dt, params.mu)
-    kicked = potential_full_step(half, params.dt, potential, t + params.dt / 2.0)
-    return kinetic_half_step(kicked, params.dt, params.mu)
+    half_phases = _kinetic_phases(phi.size, params.dt / 2.0, params.mu)
+    phase = _potential_phase(potential, phi.size, params.dt, t + params.dt / 2.0)
+    return LatticeFunction(_strang(phi.values, half_phases, phase))
 
 
 def _evaluated_potential(potential: Potential, size: int, t: float) -> np.ndarray:
@@ -213,16 +210,10 @@ def _record(step_time: float, values: np.ndarray) -> TrajectoryRecord:
             f"norm drifted by {norm_error!r} at t = {step_time!r}"
         )
     state = NormalizedState._trusted(LatticeFunction(values))
-    probs = np.abs(state.values) ** 2
-    report = uncertainty_product_report(state)
     return TrajectoryRecord(
         time=step_time,
         state=state,
-        mean_price=float(np.dot(np.arange(values.size), probs)),
-        delta_price=report.delta_price,
-        delta_owner=report.delta_owner,
-        uncertainty_product=report.product,
-        uncertainty_bound=report.bound,
+        report=uncertainty_product_report(state),
         norm_error=norm_error,
     )
 
@@ -242,33 +233,24 @@ def evolve(
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    size = phi0.size
-    fwd = plan_for(size, "forward")
-    inv = plan_for(size, "inverse")
-    half_phases = _kinetic_phases(size, params.dt / 2.0, params.mu)
-    static_phase = None
-    v = _evaluated_potential(potential, size, params.t0)  # eager shape/finite check
-    if not potential.time_dependent:
-        static_phase = np.exp(-1j * params.dt * v)
-    return _evolve_iter(phi0, params, potential, record_every, fwd, inv, half_phases, static_phase)
+    # eager shape/finite check; a static potential's phase is reused
+    phase = _potential_phase(potential, phi0.size, params.dt, params.t0)
+    static_phase = None if potential.time_dependent else phase
+    return _evolve_iter(phi0, params, potential, record_every, static_phase)
 
 
-def _evolve_iter(phi0, params, potential, record_every, fwd, inv, half_phases, static_phase):
-    size = phi0.size
-    values = phi0.values.copy()
-    yield _record(params.t0, values.copy())
+def _evolve_iter(phi0, params, potential, record_every, static_phase):
+    half_phases = _kinetic_phases(phi0.size, params.dt / 2.0, params.mu)
+    values = phi0.values  # LatticeFunction copies what each record keeps
+    yield _record(params.t0, values)
     for step in range(1, params.steps + 1):
-        t_mid = params.t0 + (step - 1) * params.dt + params.dt / 2.0
-        if static_phase is None:
-            v = _evaluated_potential(potential, size, t_mid)
-            phase = np.exp(-1j * params.dt * v)
-        else:
-            phase = static_phase
-        values = _apply_kinetic(values, half_phases, fwd, inv)
-        values *= phase
-        values = _apply_kinetic(values, half_phases, fwd, inv)
+        phase = static_phase
+        if phase is None:
+            t_mid = params.t0 + (step - 1) * params.dt + params.dt / 2.0
+            phase = _potential_phase(potential, phi0.size, params.dt, t_mid)
+        values = _strang(values, half_phases, phase)
         if step % record_every == 0 or step == params.steps:
-            yield _record(params.t0 + step * params.dt, values.copy())
+            yield _record(params.t0 + step * params.dt, values)
 
 
 def static_hamiltonian(

@@ -4,6 +4,9 @@ The price operator multiplies by the lattice index; the ownership
 operator is its conjugate under the finite Fourier transform. Their
 commutator is anti-hermitian with purely imaginary eigenvalues that
 cluster near i*N/(2*pi) for large N.
+
+The per-state report is matrix-free, O(N) memory and O(N log N) work.
+The dense N x N operators serve the spectrum path and act as oracles.
 """
 from __future__ import annotations
 
@@ -19,16 +22,20 @@ from .errors import (
     InvariantViolationError,
     NumericalConsistencyError,
 )
-from .fourier import dft_matrix
+from .fourier import dft_matrix, plan_for
 from .lattice import NormalizedState
 
 HERMITICITY_TOL = 1e-12
 EXPECTATION_IMAG_TOL = 1e-10
 RADICAND_FLOOR = -1e-10
-COMMUTATOR_REAL_TOL = 1e-9
 ROBERTSON_SLACK = 1e-9
 SATURATION_WINDOW = 1e-6
 SPECTRUM_RESIDUAL_FACTOR = 1e-8
+# Largest lattice for the dense spectrum path. commutator_spectrum peaks
+# at about eight live N x N complex matrices (tracemalloc, N = 32 and 64):
+# 8 * 16 B * 2048^2 = 512 MiB, half of a 1 GiB budget, the rest left for
+# BLAS workspace and the interpreter.
+MAX_DENSE_SIZE = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +77,15 @@ class SpectrumResult:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UncertaintyReport:
+    """Price and owner distributions of one state, their means and
+    spreads, the spread product and the Robertson bound |<[P, O]>|/2."""
+
+    prob_price: np.ndarray
+    prob_owner: np.ndarray
+    mean_price: float
+    mean_owner: float
     delta_price: float
     delta_owner: float
     product: float
@@ -185,31 +199,43 @@ def commutator_spectrum(size: int) -> SpectrumResult:
 
 
 def uncertainty_product_report(state: NormalizedState) -> UncertaintyReport:
-    """Robertson-relation bookkeeping for one state.
+    """Every per-record observable of one state, matrix-free.
 
-    Returns the price/owner spreads, their product, and the lower bound
-    |<[P, O]>|/2; raises InvariantViolationError if the product falls
-    below the bound by more than the numerical slack (a bug signal, the
-    relation holds for every state).
+    The owner amplitudes A = F Phi give the distributions |Phi|^2 and
+    |A|^2; O Phi = F^-1(k A), and for hermitian P and O the bound
+    |<[P, O]>|/2 is |Im<P Phi, O Phi>|. Raises InvariantViolationError if
+    the product undercuts the bound by more than the numerical slack (a
+    bug signal, the relation holds for every state).
     """
     size = state.size
-    d_price = uncertainty(price_operator(size), state)
-    d_owner = uncertainty(ownership_operator(size), state)
-    comm_mean = complex(np.vdot(state.values, _commutator_matrix(size) @ state.values))
-    if abs(comm_mean.real) > COMMUTATOR_REAL_TOL:
-        raise NumericalConsistencyError(
-            f"commutator mean has real residue {comm_mean.real!r}"
-        )
-    bound = 0.5 * abs(comm_mean)
+    levels = np.arange(size)
+    owner_amps = plan_for(size, "forward").apply(state.values)
+    prob_price = np.abs(state.values) ** 2
+    prob_owner = np.abs(owner_amps) ** 2
+    mean_price, d_price = _moments(levels, prob_price)
+    mean_owner, d_owner = _moments(levels, prob_owner)
+    owner_image = plan_for(size, "inverse").apply(levels * owner_amps)
+    bound = abs(float(np.vdot(levels * state.values, owner_image).imag))
     product = d_price * d_owner
     if product < bound - ROBERTSON_SLACK:
         raise InvariantViolationError(
             f"uncertainty product {product!r} undercuts bound {bound!r}"
         )
     return UncertaintyReport(
+        prob_price=prob_price,
+        prob_owner=prob_owner,
+        mean_price=mean_price,
+        mean_owner=mean_owner,
         delta_price=d_price,
         delta_owner=d_owner,
         product=product,
         bound=bound,
         saturated=(product - bound) < SATURATION_WINDOW,
     )
+
+
+def _moments(levels: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
+    """Mean and spread; the variance is summed about the mean, because
+    <n^2> - <n>^2 cancels to noise for a near-point distribution."""
+    mean = float(np.dot(levels, probs))
+    return mean, float(np.sqrt(np.dot(probs, (levels - mean) ** 2)))

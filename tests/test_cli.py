@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,17 @@ def test_spectrum_usage_error(capsys):
     assert "stockwave:" in capsys.readouterr().err
 
 
+def test_spectrum_size_limit_rejected_before_work(monkeypatch, capsys):
+    def never(size):
+        raise AssertionError("commutator_spectrum must not run")
+
+    monkeypatch.setattr(cli, "commutator_spectrum", never)
+    assert run_cli(["spectrum", "--n", "100000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("stockwave: ") and err.count("\n") == 1
+    assert str(cli.MAX_DENSE_SIZE) in err
+
+
 def test_uncertainty_command(tmp_path, capsys):
     doc = {"N": 21, "state": {"type": "gaussian", "kappa": 1.0, "n0": 10, "k0": 10}}
     config = write_config(tmp_path, doc)
@@ -198,6 +210,60 @@ def test_evolve_truncation_marker(tmp_path, monkeypatch, capsys, error):
     assert len(rows) == 4 + 1  # one record group plus the marker
     _, srows = read_csv(tmp_path / "run_summary.csv")
     assert srows[-1][0] == "TRUNCATED"
+
+
+def test_evolve_io_failure_closes_marked_outputs(tmp_path, monkeypatch, capsys):
+    doc = {
+        "N": 4,
+        "state": {"type": "delta", "m": 0},
+        "evolution": {"mu": 1.0, "dt": 0.01, "steps": 5},
+        "output": {"format": "csv", "path": str(tmp_path / "run.csv")},
+    }
+    config = write_config(tmp_path, doc)
+    sinks = []
+    write_record = cli._CsvSink.write_record
+
+    def failing_write(self, *args):
+        sinks.append(self)
+        if len(sinks) > 2:
+            raise OSError("synthetic write failure")
+        write_record(self, *args)
+
+    monkeypatch.setattr(cli._CsvSink, "write_record", failing_write)
+    assert run_cli(["--quiet", "evolve", "--config", config]) == 3
+    assert capsys.readouterr().err == "stockwave: synthetic write failure\n"
+    assert sinks[0]._dist_file.closed and sinks[0]._summary_file.closed
+    _, rows = read_csv(tmp_path / "run.csv")
+    assert len(rows) == 2 * 4 + 1 and rows[-1][0] == "TRUNCATED"
+    _, srows = read_csv(tmp_path / "run_summary.csv")
+    assert len(srows) == 2 + 1 and srows[-1][0] == "TRUNCATED"
+
+
+@pytest.mark.parametrize("command", ["state", "uncertainty", "evolve"])
+def test_observables_paths_hold_no_dense_matrix(tmp_path, capsys, command):
+    size = 1031  # prime; one dense complex matrix is 16 * N^2 B, ~17 MB
+    doc = {
+        "N": size,
+        "state": {"type": "gaussian", "kappa": 1.0, "n0": 500, "k0": 300},
+        "evolution": {
+            "mu": 1.0,
+            "dt": 1e-4,
+            "steps": 4,
+            "potential": {"type": "harmonic", "center": 515.0, "strength": 1e-3},
+        },
+        "output": {"format": "csv", "path": str(tmp_path / "run.csv"), "record_every": 4},
+    }
+    config = write_config(tmp_path, doc)
+    tracemalloc.start()
+    try:
+        assert run_cli(["--quiet", command, "--config", config]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * size**2
+    if command == "evolve":
+        _, srows = read_csv(tmp_path / "run_summary.csv")
+        assert [row[0] for row in srows] == ["0", "4"]
 
 
 @pytest.mark.filterwarnings("error")

@@ -97,6 +97,19 @@ def test_strang_with_zero_potential_is_pure_kinetic():
     assert np.array_equal(split.values, pure.values)
 
 
+@pytest.mark.parametrize("size", [21, 64])
+def test_strang_step_is_evolve_first_step(size):
+    phi0 = gaussian_packet(PacketParams(ThetaParams(1.0, size), size // 3, 2))
+    params = EvolutionParams(mu=0.7, dt=0.03, steps=1, t0=0.4)
+    for potential in (
+        HarmonicPotential(center=size / 2.0, strength=0.2),
+        ModulatedPotential(LinearPotential(slope=0.3), amplitude=1.5, omega=2.0),
+    ):
+        stepped = strang_step(phi0.base, params.t0, params, potential)
+        first = list(evolve(phi0, params, potential))[-1]
+        assert np.array_equal(stepped.values, first.state.values)
+
+
 def test_strang_matches_exact_propagator():
     size, mu = 21, 1.0
     potential = HarmonicPotential(center=10.0, strength=0.1)
@@ -139,8 +152,8 @@ def test_evolve_delta_spreads():
     phi0 = delta_state(10, 21)
     params = EvolutionParams(mu=1.0, dt=1e-3, steps=100)
     records = list(evolve(phi0, params, ZeroPotential(), record_every=50))
-    assert records[0].delta_price == 0.0
-    assert records[-1].delta_price > records[1].delta_price / 2 > 0.0
+    assert records[0].report.delta_price == 0.0
+    assert records[-1].report.delta_price > records[1].report.delta_price / 2 > 0.0
     # first step against the exact propagator (V = 0: splitting is exact)
     one = list(evolve(phi0, EvolutionParams(mu=1.0, dt=1e-3, steps=1), ZeroPotential()))[-1]
     exact = exact_propagator(21, 1.0, ZeroPotential(), 0.0, 1e-3).apply(phi0.values)

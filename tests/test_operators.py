@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from stockwave import (
     ContractError,
@@ -18,12 +22,15 @@ from stockwave import (
     inner_product,
     inverse,
     normalize,
+    owner_distribution,
     ownership_operator,
+    price_distribution,
     price_operator,
     uncertainty,
     uncertainty_product_report,
     upsilon_state,
 )
+from stockwave.operators import MAX_DENSE_SIZE, _commutator_matrix, _ownership_matrix
 from helpers import random_state
 
 TABLE_N21 = {1: -133.965206767811, 11: 3.342253804929, 21: 92.750113443389}
@@ -236,3 +243,61 @@ def test_operator_repr_validation():
         LinearOperatorRepr(np.ones((2, 3)))
     with pytest.raises(ValueError):
         LinearOperatorRepr(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+PRIMES_TO_256 = [p for p in range(2, 257) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+@st.composite
+def lattice_states(draw):
+    size = draw(st.one_of(st.integers(1, 256), st.sampled_from(PRIMES_TO_256)))
+    parts = draw(hnp.arrays(
+        np.float64, (2, size), elements=st.floats(-1e3, 1e3, allow_subnormal=False)
+    ))
+    values = parts[0] + 1j * parts[1]
+    assume(np.linalg.norm(values) > 1e-6)
+    return normalize(LatticeFunction(values))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(lattice_states())
+def test_report_matches_dense_oracle(state):
+    size = state.size
+    scale = max(1, size)
+    p, o = price_operator(size), ownership_operator(size)
+    report = uncertainty_product_report(state)
+    # spreads are compared squared: the oracle forms <A^2> - <A>^2, whose
+    # rounding noise (~eps*N^2) the square root magnifies near a point
+    # state to a spread of ~1e-6 where the true one is ~0
+    assert report.delta_price**2 == pytest.approx(uncertainty(p, state) ** 2, abs=1e-12 * scale**2)
+    assert report.delta_owner**2 == pytest.approx(uncertainty(o, state) ** 2, abs=1e-12 * scale**2)
+    assert report.mean_price == pytest.approx(expectation(p, state), abs=1e-12 * scale)
+    assert report.mean_owner == pytest.approx(expectation(o, state), abs=1e-12 * scale)
+    comm_mean = np.vdot(state.values, commutator(p, o).apply(state.values))
+    assert report.bound == pytest.approx(0.5 * abs(comm_mean), abs=1e-12 * scale**2)
+    assert report.product >= report.bound - 1e-9
+    assert np.array_equal(report.prob_price, price_distribution(state).probs)
+    assert np.array_equal(report.prob_owner, owner_distribution(state).probs)
+
+
+def test_report_near_point_state_keeps_its_spread():
+    # a point state with a 1.5e-8 admixture: <n^2> - <n>^2 cancels to
+    # rounding noise here, which read as spread 0 and a false violation
+    state = normalize(LatticeFunction(np.array([1.49011612e-08, 1.0, 0.0])))
+    report = uncertainty_product_report(state)
+    assert report.delta_price == pytest.approx(1.49011612e-08, rel=1e-6)
+    assert report.product >= report.bound > 0.0
+
+
+def test_dense_size_limit_fits_memory_budget():
+    # the limit assumes the spectrum path's peak grows as N^2 from here
+    size = 24
+    _ownership_matrix.cache_clear()
+    _commutator_matrix.cache_clear()
+    tracemalloc.start()
+    try:
+        commutator_spectrum(size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak * (MAX_DENSE_SIZE / size) ** 2 <= 2**30
