@@ -14,6 +14,7 @@ given scenario.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -97,73 +98,45 @@ def _write_record(sink, step, t, report, norm_error):
 
 class _CsvSink:
     """Distributions at the scenario path, summary at a _summary sibling;
-    both stream row by row. Without a path the tables buffer and print to
-    stdout at the end."""
+    both stream one write per record. Without a path the tables buffer
+    and print to stdout at the end."""
 
     def __init__(self, path: str | None):
-        self._dist_lines = None
-        self._summary_lines = None
-        self._dist_file = None
-        self._summary_file = None
-        if path is None:
-            self._dist_lines = []
-            self._summary_lines = []
+        self._to_stdout = path is None
+        if self._to_stdout:
+            self._dist_file = io.StringIO()
+            self._summary_file = io.StringIO()
         else:
             target = Path(path)
             summary_target = target.with_name(target.stem + "_summary" + target.suffix)
             self._dist_file = open(target, "w", newline="")
             self._summary_file = open(summary_target, "w", newline="")
-            self._dist_file.write(DIST_HEADER + "\n")
-            self._summary_file.write(SUMMARY_HEADER + "\n")
-
-    def _emit_dist(self, line: str):
-        if self._dist_file is not None:
-            self._dist_file.write(line + "\n")
-        else:
-            self._dist_lines.append(line)
-
-    def _emit_summary(self, line: str):
-        if self._summary_file is not None:
-            self._summary_file.write(line + "\n")
-        else:
-            self._summary_lines.append(line)
+        self._dist_file.write(DIST_HEADER + "\n")
+        self._summary_file.write(SUMMARY_HEADER + "\n")
 
     def write_record(self, step: int, t: float, probs, owner, summary: dict):
         t_text = format_number(t)
-        for n, (p, o) in enumerate(zip(probs, owner)):
-            self._emit_dist(f"{step},{t_text},{n},{format_number(p)},{format_number(o)}")
-        self._emit_summary(
+        # %.15g is format_number's format; adding 0.0 folds -0.0 as it does
+        row = f"{step},{t_text},%d,%.15g,%.15g\n"
+        self._dist_file.write("".join(
+            row % values
+            for values in zip(range(len(probs)), (probs + 0.0).tolist(), (owner + 0.0).tolist())
+        ))
+        self._summary_file.write(
             f"{step},{t_text},"
-            + ",".join(
-                format_number(summary[key])
-                for key in (
-                    "mean_price",
-                    "mean_owner",
-                    "delta_price",
-                    "delta_owner",
-                    "product",
-                    "bound",
-                    "norm_error",
-                )
-            )
+            + ",".join(format_number(summary[key]) for key in SUMMARY_HEADER.split(",")[2:])
+            + "\n"
         )
 
     def write_truncation_marker(self):
-        self._emit_dist(TRUNCATION_MARKER + "," * (DIST_HEADER.count(",")))
-        self._emit_summary(TRUNCATION_MARKER + "," * (SUMMARY_HEADER.count(",")))
+        self._dist_file.write(TRUNCATION_MARKER + "," * DIST_HEADER.count(",") + "\n")
+        self._summary_file.write(TRUNCATION_MARKER + "," * SUMMARY_HEADER.count(",") + "\n")
 
     def close(self):
-        if self._dist_file is not None:
-            self._dist_file.close()
-            self._summary_file.close()
-        else:
-            print(DIST_HEADER)
-            for line in self._dist_lines:
-                print(line)
-            print()
-            print(SUMMARY_HEADER)
-            for line in self._summary_lines:
-                print(line)
+        if self._to_stdout:
+            sys.stdout.write(self._dist_file.getvalue() + "\n" + self._summary_file.getvalue())
+        self._dist_file.close()
+        self._summary_file.close()
 
 
 class _JsonSink:
@@ -253,8 +226,7 @@ def cmd_evolve(scenario: Scenario, quiet: bool) -> int:
         for record in evolve(
             state0, params, scenario.evolution.potential, scenario.output.record_every
         ):
-            step = round((record.time - params.t0) / params.dt)
-            _write_record(sink, step, record.time, record.report, record.norm_error)
+            _write_record(sink, record.step, record.time, record.report, record.norm_error)
             count += 1
             max_norm_error = max(max_norm_error, record.norm_error)
     except BaseException:

@@ -27,7 +27,6 @@ from .lattice import NormalizedState
 
 HERMITICITY_TOL = 1e-12
 EXPECTATION_IMAG_TOL = 1e-10
-RADICAND_FLOOR = -1e-10
 ROBERTSON_SLACK = 1e-9
 SATURATION_WINDOW = 1e-6
 SPECTRUM_RESIDUAL_FACTOR = 1e-8
@@ -148,7 +147,8 @@ def expectation(operator: LinearOperatorRepr, state: NormalizedState) -> float:
 
 
 def uncertainty(operator: LinearOperatorRepr, state: NormalizedState) -> float:
-    """Root-mean-square deviation sqrt(<A^2> - <A>^2)."""
+    """Root-mean-square deviation ||(A - <A>) Phi||; unlike
+    sqrt(<A^2> - <A>^2) it does not cancel to noise near a point state."""
     _require_same_size(operator, state)
     if not operator.is_hermitian():
         raise ContractError(
@@ -159,12 +159,7 @@ def uncertainty(operator: LinearOperatorRepr, state: NormalizedState) -> float:
     mean = complex(np.vdot(state.values, image))
     if abs(mean.imag) > EXPECTATION_IMAG_TOL:
         raise NumericalConsistencyError(f"mean has imaginary residue {mean.imag!r}")
-    # <A^2> = <A Phi, A Phi> for hermitian A; avoids squaring the matrix
-    mean_square = float(np.vdot(image, image).real)
-    radicand = mean_square - mean.real**2
-    if radicand < RADICAND_FLOOR:
-        raise NumericalConsistencyError(f"negative dispersion {radicand!r}")
-    return float(np.sqrt(max(radicand, 0.0)))
+    return float(np.linalg.norm(image - mean.real * state.values))
 
 
 def commutator(a: LinearOperatorRepr, b: LinearOperatorRepr) -> LinearOperatorRepr:

@@ -349,3 +349,36 @@ def test_module_entry_point(tmp_path):
 
 def test_usage_error_exit_code():
     assert run_cli(["no-such-command"]) == 1
+
+
+def test_evolve_step_labels_at_large_t0(tmp_path):
+    # (t - t0) / dt loses the step at t0 = 1e12: labels read 0,1,2,2,4,5,6
+    doc = {
+        "N": 8,
+        "state": {"type": "delta", "m": 3},
+        "evolution": {"mu": 1.0, "dt": 1e-4, "steps": 6, "t0": 1e12},
+        "output": {"format": "csv", "path": str(tmp_path / "run.csv")},
+    }
+    config = write_config(tmp_path, doc)
+    assert run_cli(["--quiet", "evolve", "--config", config]) == 0
+    _, srows = read_csv(tmp_path / "run_summary.csv")
+    assert [row[0] for row in srows] == [str(step) for step in range(7)]
+    _, rows = read_csv(tmp_path / "run.csv")
+    assert [row[0] for row in rows] == [str(step) for step in range(7) for _ in range(8)]
+
+
+def test_csv_rows_format_like_format_number(tmp_path):
+    values = np.array(
+        [0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-5, 1e-20, 0.1, 1.0 / 3.0]
+    )
+    sink = cli._CsvSink(str(tmp_path / "rows.csv"))
+    summary = dict.fromkeys(cli.SUMMARY_HEADER.split(",")[2:], -0.0)
+    sink.write_record(4, 0.25, values, -values, summary)
+    sink.close()
+    _, rows = read_csv(tmp_path / "rows.csv")
+    assert rows == [
+        ["4", "0.25", str(n), cli.format_number(p), cli.format_number(-p)]
+        for n, p in enumerate(values)
+    ]
+    _, srows = read_csv(tmp_path / "rows_summary.csv")
+    assert srows == [["4", "0.25"] + ["0"] * 7]

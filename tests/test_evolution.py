@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stockwave import (
     ConservationError,
@@ -26,7 +29,8 @@ from stockwave import (
     static_hamiltonian,
     strang_step,
 )
-from stockwave.evolution import _record
+from stockwave.evolution import _kicks, _potential_phase, _record, _strang_segment
+from stockwave.fourier import FourierPlan
 from helpers import random_lattice_function
 
 
@@ -160,12 +164,106 @@ def test_evolve_delta_spreads():
     assert np.max(np.abs(one.state.values - exact)) < 1e-10
 
 
+def _modulated_trap(size):
+    return ModulatedPotential(
+        HarmonicPotential(center=size / 2.0, strength=4.0 / size), amplitude=1.5, omega=3.0
+    )
+
+
+@pytest.mark.parametrize("size", [21, 64, 1031])
+@pytest.mark.parametrize("record_every", [1, 7, 20])
+def test_fused_segments_match_repeated_strang_steps(size, record_every):
+    phi0 = gaussian_packet(PacketParams(ThetaParams(1.0, size), size // 3, 2))
+    params = EvolutionParams(mu=0.8, dt=0.01, steps=20, t0=0.3)
+    potential = _modulated_trap(size)
+    values = phi0.base
+    for step in range(params.steps):
+        values = strang_step(values, params.t0 + step * params.dt, params, potential)
+    final = list(evolve(phi0, params, potential, record_every))[-1]
+    assert final.step == params.steps
+    assert np.max(np.abs(final.state.values - values.values)) < 1e-12
+
+
+@pytest.mark.parametrize("record_every", [1, 7])  # 1000: test_strang_matches_exact_propagator
+def test_fused_segments_match_exact_propagator(record_every):
+    size, mu = 21, 1.0
+    potential = HarmonicPotential(center=10.0, strength=0.1)
+    exact = exact_propagator(size, mu, potential, 0.0, 1.0).apply(fig2_packet().values)
+    params = EvolutionParams(mu=mu, dt=1e-3, steps=1000)
+    final = list(evolve(fig2_packet(), params, potential, record_every))[-1]
+    assert np.max(np.abs(final.state.values - exact)) < 1e-6
+
+
+@pytest.mark.parametrize("steps,record_every", [(1, 1), (10, 1), (10, 3), (10, 10), (100, 100)])
+def test_fused_loop_transform_count(monkeypatch, steps, record_every):
+    calls = []
+    apply = FourierPlan.apply
+
+    def counting(self, values):
+        calls.append(self.direction)
+        return apply(self, values)
+
+    monkeypatch.setattr(FourierPlan, "apply", counting)
+    phi0 = gaussian_packet(PacketParams(ThetaParams(1.0, 64), 20, 3))
+    params = EvolutionParams(mu=1.0, dt=1e-3, steps=steps)
+    records = list(evolve(phi0, params, _modulated_trap(64), record_every))
+    segments = len(records) - 1
+    # per step F and F^-1; per segment one closing pair; per record a report pair
+    assert len(calls) == 2 * steps + 2 * segments + 2 * len(records)
+    assert calls.count("forward") == calls.count("inverse")
+
+
+def test_fused_segment_memory_does_not_grow_with_steps():
+    # phases are evaluated one per step; a segment's list of them would
+    # hold 200 vectors here
+    size = 1031
+    phi0 = gaussian_packet(PacketParams(ThetaParams(1.0, size), 300, 2))
+    params = EvolutionParams(mu=1.0, dt=1e-4, steps=200)
+    list(evolve(phi0, EvolutionParams(mu=1.0, dt=1e-4, steps=1), _modulated_trap(size)))  # warm
+    tracemalloc.start()
+    try:
+        list(evolve(phi0, params, _modulated_trap(size), record_every=params.steps))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 16 * size
+
+
+PRIMES_TO_512 = [p for p in range(2, 513) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    size=st.one_of(st.integers(1, 512), st.sampled_from(PRIMES_TO_512)),
+    steps=st.integers(1, 12),
+    dt=st.floats(1e-4, 0.1),
+    mu=st.floats(0.5, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_segment_is_time_reversible(size, steps, dt, mu, seed):
+    rng = np.random.default_rng(seed)
+    phi = random_lattice_function(rng, size).values
+    phi = phi / np.linalg.norm(phi)
+    potential = _modulated_trap(size)
+    t_mids = [0.2 + (step + 0.5) * dt for step in range(steps)]
+    there = _strang_segment(
+        phi, (_potential_phase(potential, size, dt, t) for t in t_mids), *_kicks(size, dt, mu)
+    )
+    back = _strang_segment(
+        there,
+        (_potential_phase(potential, size, -dt, t) for t in reversed(t_mids)),
+        *_kicks(size, -dt, mu),
+    )
+    assert np.max(np.abs(back - phi)) < 1e-12
+
+
 def test_evolve_record_schedule():
     phi0 = fig2_packet()
     params = EvolutionParams(mu=1.0, dt=0.1, steps=10, t0=2.0)
     records = list(evolve(phi0, params, ZeroPotential(), record_every=3))
     times = [record.time for record in records]
     assert times == pytest.approx([2.0, 2.3, 2.6, 2.9, 3.0])
+    assert [record.step for record in records] == [0, 3, 6, 9, 10]
 
 
 def test_evolve_contract_checks():

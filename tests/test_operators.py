@@ -123,6 +123,14 @@ def test_uncertainty_dispersion_free_eigenstate():
     assert uncertainty(price_operator(21), delta_state(4, 21)) == 0.0
 
 
+def test_uncertainty_point_state_with_rounded_norm():
+    # norm 1 - 1.1e-16: <A^2> - <A>^2 cancelled to 4e-15, a spread of 4e-7
+    values = np.zeros(21, dtype=complex)
+    values[20] = 1.0 - 1e-16
+    state = NormalizedState(LatticeFunction(values))
+    assert uncertainty(price_operator(21), state) < 1e-13
+
+
 def test_uncertainty_owner_on_delta():
     # uniform owner distribution on {0..20}: variance 410/3 - 100 = 110/3
     value = uncertainty(ownership_operator(21), delta_state(3, 21))
@@ -266,11 +274,10 @@ def test_report_matches_dense_oracle(state):
     scale = max(1, size)
     p, o = price_operator(size), ownership_operator(size)
     report = uncertainty_product_report(state)
-    # spreads are compared squared: the oracle forms <A^2> - <A>^2, whose
-    # rounding noise (~eps*N^2) the square root magnifies near a point
-    # state to a spread of ~1e-6 where the true one is ~0
-    assert report.delta_price**2 == pytest.approx(uncertainty(p, state) ** 2, abs=1e-12 * scale**2)
-    assert report.delta_owner**2 == pytest.approx(uncertainty(o, state) ** 2, abs=1e-12 * scale**2)
+    # both sides sum deviations about the mean, so the spreads agree to
+    # rounding (worst 8e-16*N over 1500 examples), point states included
+    assert report.delta_price == pytest.approx(uncertainty(p, state), abs=1e-13 * scale)
+    assert report.delta_owner == pytest.approx(uncertainty(o, state), abs=1e-13 * scale)
     assert report.mean_price == pytest.approx(expectation(p, state), abs=1e-12 * scale)
     assert report.mean_owner == pytest.approx(expectation(o, state), abs=1e-12 * scale)
     comm_mean = np.vdot(state.values, commutator(p, o).apply(state.values))
