@@ -13,21 +13,26 @@ Feit-Fleck-Steiger form), so a segment of m steps runs as
 
     K(dt/2) . V . K(dt) . V . ... . K(dt) . V . K(dt/2)
 
-at 2 transforms per step plus 2 per segment; the kicks split again only
-where a record is taken. With a record at every step this is the plain
-Strang step, bit for bit. The state is never renormalized: norm drift is
-reported and policed, not hidden.
+and the kicks split again only where a record is taken. Each kick
+F^-1 diag(K) F is a fixed cyclic convolution, built once per run by
+``fourier.circulant``: one dense product for N <= NAIVE_CUTOFF, otherwise
+one FFT pair, zero-padded when N has a large prime factor. A segment
+thus costs 2 transforms per step plus 2 per segment (one matrix product
+per step plus one for small N), and no step goes through the owner basis
+and back; records take the owner transform pair of the observables
+report. The state is never renormalized: norm drift is reported and
+policed, not hidden.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import ConservationError, DimensionError, NumericalConsistencyError
-from .fourier import plan_for
+from .fourier import circulant
 from .lattice import LatticeFunction, NormalizedState
 from .operators import (
     LinearOperatorRepr,
@@ -35,7 +40,6 @@ from .operators import (
     ownership_operator,
     uncertainty_product_report,
 )
-from .eigen import hermitian_eigensystem
 
 NORM_DRIFT_TOL = 1e-8
 PROPAGATOR_UNITARITY_FACTOR = 1e-10
@@ -162,10 +166,16 @@ class TrajectoryRecord:
     norm_error: float
 
 
-def _kicks(size: int, dt: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Owner-diagonal kinetic phases K(dt/2) and K(dt), K(s) = exp(-i*s*k^2/(2*mu))."""
+def _kick(size: int, duration: float, mu: float) -> Callable:
+    """Kinetic kick exp(-i*duration*O^2/(2*mu)) as a circulant operator on
+    price amplitudes; in the owner basis it is exp(-i*duration*k^2/(2*mu))."""
     k = np.arange(size, dtype=np.float64)
-    return tuple(np.exp(-1j * s * k * k / (2.0 * mu)) for s in (dt / 2.0, dt))
+    return circulant(np.exp(-1j * duration * k * k / (2.0 * mu)))
+
+
+def _kicks(size: int, dt: float, mu: float) -> tuple[Callable, Callable]:
+    """K(dt/2) and K(dt)."""
+    return _kick(size, dt / 2.0, mu), _kick(size, dt, mu)
 
 
 def _potential_phase(potential: Potential, size: int, dt: float, t: float) -> np.ndarray:
@@ -176,24 +186,21 @@ def _strang_segment(values, phases: Iterable[np.ndarray], half_kick, full_kick):
     """Strang steps, one per potential phase exp(-i*dt*V(t_mid)), with the
     inner half kicks merged: K(dt/2) . V . K(dt) . V ... V . K(dt/2).
 
-    The kicks are owner-diagonal phase tables. ``phases`` is consumed
-    lazily; with one phase this is one Strang step, with none a bare
-    K(dt/2).
+    The kicks are the circulant operators of ``_kicks``. ``phases`` is
+    consumed lazily; with one phase this is one Strang step.
     """
-    forward = plan_for(values.size, "forward")
-    inverse = plan_for(values.size, "inverse")
     kick = half_kick
     for phase in phases:
-        values = inverse.apply(forward.apply(values) * kick) * phase
+        values = kick(values) * phase
         kick = full_kick
-    return inverse.apply(forward.apply(values) * half_kick)
+    return half_kick(values)
 
 
 def kinetic_half_step(phi, dt: float, mu: float) -> LatticeFunction:
-    """Apply exp(-i*(dt/2)*O^2/(2*mu)) through the owner basis."""
+    """Apply exp(-i*(dt/2)*O^2/(2*mu)), the owner-diagonal half kick."""
     if not (mu > 0.0):
         raise ValueError("mu must be positive")
-    return LatticeFunction(_strang_segment(phi.values, (), *_kicks(phi.size, dt, mu)))
+    return LatticeFunction(_kick(phi.size, dt / 2.0, mu)(phi.values))
 
 
 def potential_full_step(phi, dt: float, potential: Potential, t_mid: float) -> LatticeFunction:
@@ -205,8 +212,9 @@ def strang_step(phi, t: float, params: EvolutionParams, potential: Potential) ->
     """Advance one step dt from time t; the potential is sampled at the
     interval midpoint to keep second-order accuracy."""
     phase = _potential_phase(potential, phi.size, params.dt, t + params.dt / 2.0)
-    kicks = _kicks(phi.size, params.dt, params.mu)
-    return LatticeFunction(_strang_segment(phi.values, (phase,), *kicks))
+    half_kick = _kick(phi.size, params.dt / 2.0, params.mu)
+    # a segment of one step never reaches its full kick
+    return LatticeFunction(_strang_segment(phi.values, (phase,), half_kick, half_kick))
 
 
 def _evaluated_potential(potential: Potential, size: int, t: float) -> np.ndarray:
@@ -298,10 +306,10 @@ def exact_propagator(
 
     Oracle path for the split-operator integrator: the potential is held
     fixed at t_snapshot and U exp(-i*duration*Lambda) U^dagger is formed
-    from the Jacobi eigensystem.
+    from the LAPACK eigensystem (np.linalg.eigh).
     """
     h = static_hamiltonian(size, mu, potential, t_snapshot)
-    eigenvalues, vectors = hermitian_eigensystem(h.matrix)
+    eigenvalues, vectors = np.linalg.eigh(h.matrix)
     propagator = (vectors * np.exp(-1j * duration * eigenvalues)[None, :]) @ vectors.conj().T
     defect = float(
         np.linalg.norm(propagator.conj().T @ propagator - np.eye(size))

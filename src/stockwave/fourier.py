@@ -8,10 +8,16 @@ through numpy's FFT with orthonormal scaling, which costs O(N log N) for
 any N, primes included. The kernel's phase table is indexed with integer
 arithmetic reduced mod N before any trig call, so large index products
 never lose precision.
+
+``circulant`` builds an owner-diagonal operator F^-1 diag(d) F once and
+applies it as a single cyclic convolution: a dense N x N product on small
+lattices, otherwise one FFT pair, zero-padded to a fast length when N has
+a large prime factor.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -23,6 +29,16 @@ from .lattice import LatticeFunction
 # a low cutoff keeps the cached dense kernels small.
 NAIVE_CUTOFF = 32
 PHASE_TABLE_TOL = 1e-14
+# pocketfft has hard-coded passes for the primes up to this one; a larger
+# prime factor takes a generic O(p) pass, or Bluestein (three FFTs of a
+# length >= 2N - 1).
+FAST_RADIX_LIMIT = 11
+# A circulant keeps length N while no prime factor of N exceeds this, and
+# is zero-padded beyond it. Timed on numpy 2.4, x86-64, N = p * 4 and
+# p * 16: for p = 13..43 the length-N pair is 1.0-1.7x faster than the
+# padded one, for p = 53..83 the two are within 15%, and the padded pair
+# wins by 1.2-1.3x at p = 97, 2.1-2.7x at p = 127 and 2.5x at N = 1031.
+UNPADDED_PRIME_LIMIT = 61
 
 
 def _kernel(size: int, direction: str) -> tuple[np.ndarray, np.ndarray]:
@@ -80,6 +96,61 @@ class FourierPlan:
         if self.method == "direct":
             return self._matrix @ values
         return self._fft(values, norm="ortho")
+
+
+def _has_factors_at_most(n: int, limit: int) -> bool:
+    for d in range(2, limit + 1):
+        while n % d == 0:
+            n //= d
+    return n == 1
+
+
+def _fast_length(n: int) -> int:
+    """Smallest length >= n with no prime factor above FAST_RADIX_LIMIT."""
+    while not _has_factors_at_most(n, FAST_RADIX_LIMIT):
+        n += 1
+    return n
+
+
+def circulant(diagonal: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The operator x -> F^-1 diag(diagonal) F x, built once.
+
+    It is the cyclic convolution of x with c = ifft(diagonal). Up to
+    NAIVE_CUTOFF it is one dense N x N matrix. Above, it is one FFT pair:
+    of length N with response ``diagonal`` while N's prime factors stay
+    within UNPADDED_PRIME_LIMIT, else of the smallest fast length
+    M >= 2N - 1 with the wrapped kernel (c[0..N-1] at the front, c[1..N-1]
+    at the tail), so the linear convolution's first N entries are the
+    cyclic one. The choice depends on N alone. Returns the apply function.
+    """
+    diagonal = np.asarray(diagonal, dtype=np.complex128)
+    if diagonal.ndim != 1 or diagonal.size < 1:
+        raise DimensionError(f"circulant diagonal has shape {diagonal.shape}")
+    size = diagonal.size
+    kernel = np.fft.ifft(diagonal)
+    matrix = None
+    if size <= NAIVE_CUTOFF:
+        index = np.arange(size)
+        matrix = kernel[np.subtract.outer(index, index) % size]
+    elif _has_factors_at_most(size, UNPADDED_PRIME_LIMIT):
+        length, response = size, diagonal
+    else:
+        length = _fast_length(2 * size - 1)
+        wrapped = np.zeros(length, dtype=np.complex128)
+        wrapped[:size] = kernel
+        wrapped[length - size + 1:] = kernel[1:]
+        response = np.fft.fft(wrapped)
+
+    def apply(values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values)
+        # np.fft would silently pad or cut any other length
+        if values.shape != (size,):
+            raise DimensionError(f"circulant of size {size} applied to shape {values.shape}")
+        if matrix is not None:
+            return matrix @ values
+        return np.fft.ifft(np.fft.fft(values, length) * response)[:size]
+
+    return apply
 
 
 @lru_cache(maxsize=64)

@@ -4,6 +4,10 @@ import numpy as np
 from stockwave import LatticeFunction, NormalizedState, normalize
 
 
+def primes_to(limit: int) -> list:
+    return [p for p in range(2, limit + 1) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
 def random_lattice_function(rng, size: int) -> LatticeFunction:
     return LatticeFunction(rng.normal(size=size) + 1j * rng.normal(size=size))
 

@@ -29,9 +29,10 @@ from stockwave import (
     static_hamiltonian,
     strang_step,
 )
+from stockwave import evolution
 from stockwave.evolution import _kicks, _potential_phase, _record, _strang_segment
 from stockwave.fourier import FourierPlan
-from helpers import random_lattice_function
+from helpers import primes_to, random_lattice_function
 
 
 def fig2_packet():
@@ -196,21 +197,37 @@ def test_fused_segments_match_exact_propagator(record_every):
 
 @pytest.mark.parametrize("steps,record_every", [(1, 1), (10, 1), (10, 3), (10, 10), (100, 100)])
 def test_fused_loop_transform_count(monkeypatch, steps, record_every):
-    calls = []
-    apply = FourierPlan.apply
+    kicks, transforms = [], []
+    apply, build_kicks = FourierPlan.apply, evolution._kicks
 
-    def counting(self, values):
-        calls.append(self.direction)
+    def counting_apply(self, values):
+        transforms.append(self.direction)
         return apply(self, values)
 
-    monkeypatch.setattr(FourierPlan, "apply", counting)
+    def counting_kicks(size, dt, mu):
+        def counted(kick):
+            def run(values):
+                kicks.append(len(transforms))
+                return kick(values)
+            return run
+        return tuple(counted(kick) for kick in build_kicks(size, dt, mu))
+
+    monkeypatch.setattr(FourierPlan, "apply", counting_apply)
+    monkeypatch.setattr(evolution, "_kicks", counting_kicks)
     phi0 = gaussian_packet(PacketParams(ThetaParams(1.0, 64), 20, 3))
     params = EvolutionParams(mu=1.0, dt=1e-3, steps=steps)
     records = list(evolve(phi0, params, _modulated_trap(64), record_every))
     segments = len(records) - 1
-    # per step F and F^-1; per segment one closing pair; per record a report pair
-    assert len(calls) == 2 * steps + 2 * segments + 2 * len(records)
-    assert calls.count("forward") == calls.count("inverse")
+    # one kick per step plus the closing half kick of each segment
+    assert len(kicks) == steps + segments
+    # transforms only in the records' observables reports, none in a segment:
+    # every kick of segment j runs after the j + 1 reports before it
+    assert transforms == ["forward", "inverse"] * len(records)
+    assert kicks == [
+        2 * (j + 1)
+        for j in range(segments)
+        for _ in range(records[j + 1].step - records[j].step + 1)
+    ]
 
 
 def test_fused_segment_memory_does_not_grow_with_steps():
@@ -229,7 +246,7 @@ def test_fused_segment_memory_does_not_grow_with_steps():
     assert peak < 32 * 16 * size
 
 
-PRIMES_TO_512 = [p for p in range(2, 513) if all(p % d for d in range(2, int(p**0.5) + 1))]
+PRIMES_TO_512 = primes_to(512)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -386,3 +403,20 @@ def test_potential_validation():
         TabulatedPotential(())
     with pytest.raises(ValueError):
         TabulatedPotential((1.0, np.nan))
+
+
+@pytest.fixture(scope="module")
+def free_prime_run():
+    # V = 0: the split is exact, so only rounding separates evolve from
+    # the propagator; N = 1031 takes the zero-padded circulant kick
+    size, mu, dt, steps = 1031, 1.0, 1e-3, 50
+    phi0 = gaussian_packet(PacketParams(ThetaParams(1.0, size), 300, 40))
+    exact = exact_propagator(size, mu, ZeroPotential(), 0.0, dt * steps).apply(phi0.values)
+    return phi0, EvolutionParams(mu=mu, dt=dt, steps=steps), exact
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+def test_padded_kick_matches_exact_propagator_at_prime_size(free_prime_run, record_every):
+    phi0, params, exact = free_prime_run
+    final = list(evolve(phi0, params, ZeroPotential(), record_every))[-1]
+    assert np.max(np.abs(final.state.values - exact)) < 1e-10

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stockwave import (
     DimensionError,
@@ -16,7 +17,8 @@ from stockwave import (
     plan_for,
     upsilon_state,
 )
-from helpers import random_lattice_function
+from stockwave.fourier import NAIVE_CUTOFF, UNPADDED_PRIME_LIMIT, _fast_length, circulant
+from helpers import primes_to, random_lattice_function
 
 
 def test_forward_delta0_is_constant():
@@ -146,3 +148,95 @@ def test_dft_matrix_is_unitary():
         f = dft_matrix(size, "forward")
         assert np.max(np.abs(f @ f.conj().T - np.eye(size))) < 1e-13
         assert np.allclose(dft_matrix(size, "inverse"), f.conj().T, atol=1e-15)
+
+
+PRIMES_TO_512 = primes_to(512)
+PRIMES_TO_2100 = primes_to(2100)
+SMOOTH_TO_2100 = [n for n in range(1, 2101) if _fast_length(n) == n]
+
+
+def _unit_state(seed, size):
+    values = random_lattice_function(np.random.default_rng(seed), size).values
+    return values / np.linalg.norm(values)
+
+
+def _kick_by_defining_sums(diagonal, values):
+    # uncached plans: a 2100-level kernel matrix is 70 MB, so plan_for's
+    # cache would pin it
+    size = values.size
+    owner = FourierPlan(size, "forward", "direct").apply(values)
+    return FourierPlan(size, "inverse", "direct").apply(diagonal * owner)
+
+
+def _check_circulant(size, seed):
+    rng = np.random.default_rng(seed)
+    diagonal = np.exp(-1j * rng.uniform(-50.0, 50.0) * np.arange(size) ** 2 / size)
+    values = _unit_state(seed, size)
+    out = circulant(diagonal)(values)
+    assert out.shape == (size,)
+    assert np.max(np.abs(out - _kick_by_defining_sums(diagonal, values))) < 1e-12
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-13
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(
+    size=st.one_of(
+        st.integers(1, 2 * NAIVE_CUTOFF),
+        st.integers(1, 2100),
+        st.sampled_from(PRIMES_TO_2100),
+        st.sampled_from([2 * p for p in PRIMES_TO_2100 if p <= 1050]),
+        st.sampled_from(SMOOTH_TO_2100),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_circulant_matches_defining_sums(size, seed):
+    _check_circulant(size, seed)
+
+
+@pytest.mark.parametrize(
+    "size",
+    [
+        1,
+        21,
+        NAIVE_CUTOFF,  # dense
+        NAIVE_CUTOFF + 1,
+        34,
+        64,
+        2 * UNPADDED_PRIME_LIMIT,  # length N
+        67,  # padded to 135; 2N - 2 = 132 is fast, so M >= 2N - 2 would alias
+        83,  # padded to exactly 2N - 1 = 165: head and tail meet
+        1031,
+        2062,  # padded: a prime and twice a prime
+    ],
+)
+def test_circulant_realizations_match_defining_sums(size):
+    _check_circulant(size, size)
+
+
+def test_circulant_padded_lengths():
+    assert [_fast_length(n) for n in (1, 13, 133, 2061, 4123)] == [1, 14, 135, 2079, 4125]
+
+
+def test_circulant_size_mismatch():
+    with pytest.raises(DimensionError):
+        circulant(np.ones(8))(np.ones(9))
+    with pytest.raises(DimensionError):
+        circulant(np.ones(1031))(np.ones(1030))
+    with pytest.raises(DimensionError):
+        circulant(np.ones((2, 2)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    size=st.one_of(st.integers(1, 512), st.sampled_from(PRIMES_TO_512)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_auto_transforms_keep_norm_and_have_period_four(size, seed):
+    values = _unit_state(seed, size)
+    fourth = values
+    for direction in ("forward", "inverse"):
+        out = plan_for(size, direction).apply(values)
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+    for _ in range(4):
+        fourth = plan_for(size, "forward").apply(fourth)
+    assert np.max(np.abs(fourth - values)) < 1e-12
