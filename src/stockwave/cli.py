@@ -7,6 +7,12 @@ Commands:
     uncertainty --config FILE  Robertson-relation report for the state
     evolve --config FILE       time evolution per the scenario
 
+state and evolve write through one sink, CSV or JSON per the scenario,
+used as a with-block. Each record is written as it arrives, so memory
+stays O(N) whatever the record count. An exception that aborts the block
+ends the partial output in a truncation marker (a TRUNCATED row, or
+"truncated": true) and closes it.
+
 Exit codes: 0 success, 1 usage or schema problem, 2 numerical invariant
 violation, 3 I/O failure. All emitted numbers are deterministic for a
 given scenario.
@@ -14,21 +20,14 @@ given scenario.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import math
 import sys
 from pathlib import Path
 
-from .errors import (
-    ConservationError,
-    ContractError,
-    ConvergenceError,
-    DegenerateStateError,
-    DimensionError,
-    InvariantViolationError,
-    NumericalConsistencyError,
-)
+from .errors import StockwaveError
 from .lattice import norm
 from .operators import MAX_DENSE_SIZE, commutator_spectrum, uncertainty_product_report
 from .evolution import evolve
@@ -39,18 +38,9 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_IO = 3
 
-_NUMERIC_ERRORS = (
-    ConservationError,
-    ContractError,
-    ConvergenceError,
-    DegenerateStateError,
-    DimensionError,
-    InvariantViolationError,
-    NumericalConsistencyError,
-)
-
 DIST_HEADER = "step,t,n,prob_price,prob_owner"
 SUMMARY_HEADER = "step,t,mean_price,mean_owner,delta_price,delta_owner,product,bound,norm_error"
+SUMMARY_FIELDS = SUMMARY_HEADER.split(",")[2:]
 TRUNCATION_MARKER = "TRUNCATED"
 
 
@@ -84,83 +74,87 @@ def _format_eigenvalue(value: float) -> str:
     return f"{sign}{whole}.{frac:012d}"
 
 
-def _write_record(sink, step, t, report, norm_error):
-    sink.write_record(step, t, report.prob_price, report.prob_owner, {
-        "mean_price": report.mean_price,
-        "mean_owner": report.mean_owner,
-        "delta_price": report.delta_price,
-        "delta_owner": report.delta_owner,
-        "product": report.product,
-        "bound": report.bound,
-        "norm_error": norm_error,
-    })
+def _summary(report, norm_error):
+    """Summary values in SUMMARY_FIELDS order; all but norm_error are the report's."""
+    return [norm_error if key == "norm_error" else getattr(report, key) for key in SUMMARY_FIELDS]
 
 
-class _CsvSink:
+class _CsvSink(contextlib.AbstractContextManager):
     """Distributions at the scenario path, summary at a _summary sibling;
-    both stream one write per record. Without a path the tables buffer
-    and print to stdout at the end."""
+    both stream one write per record. Without a path the distributions
+    stream to stdout and the summary table follows them at the end. Used
+    as a with-block: an exception leaving the block ends both tables in a
+    TRUNCATED row; the files are always closed."""
 
     def __init__(self, path: str | None):
         self._to_stdout = path is None
-        if self._to_stdout:
-            self._dist_file = io.StringIO()
-            self._summary_file = io.StringIO()
-        else:
-            target = Path(path)
-            summary_target = target.with_name(target.stem + "_summary" + target.suffix)
-            self._dist_file = open(target, "w", newline="")
-            self._summary_file = open(summary_target, "w", newline="")
-        self._dist_file.write(DIST_HEADER + "\n")
-        self._summary_file.write(SUMMARY_HEADER + "\n")
+        with contextlib.ExitStack() as files:
+            if self._to_stdout:
+                self._dist_file, self._summary_file = sys.stdout, io.StringIO()
+            else:
+                target = Path(path)
+                summary_target = target.with_name(target.stem + "_summary" + target.suffix)
+                self._dist_file = files.enter_context(open(target, "w", newline=""))
+                self._summary_file = files.enter_context(open(summary_target, "w", newline=""))
+            self._dist_file.write(DIST_HEADER + "\n")
+            self._summary_file.write(SUMMARY_HEADER + "\n")
+            self._files = files.pop_all()
 
-    def write_record(self, step: int, t: float, probs, owner, summary: dict):
+    def write_record(self, step: int, t: float, report, norm_error: float):
         t_text = format_number(t)
         # %.15g is format_number's format; adding 0.0 folds -0.0 as it does
         row = f"{step},{t_text},%d,%.15g,%.15g\n"
+        probs, owner = report.prob_price + 0.0, report.prob_owner + 0.0
         self._dist_file.write("".join(
-            row % values
-            for values in zip(range(len(probs)), (probs + 0.0).tolist(), (owner + 0.0).tolist())
+            row % values for values in zip(range(len(probs)), probs.tolist(), owner.tolist())
         ))
         self._summary_file.write(
-            f"{step},{t_text},"
-            + ",".join(format_number(summary[key]) for key in SUMMARY_HEADER.split(",")[2:])
-            + "\n"
+            f"{step},{t_text}," + ",".join(map(format_number, _summary(report, norm_error))) + "\n"
         )
 
-    def write_truncation_marker(self):
-        self._dist_file.write(TRUNCATION_MARKER + "," * DIST_HEADER.count(",") + "\n")
-        self._summary_file.write(TRUNCATION_MARKER + "," * SUMMARY_HEADER.count(",") + "\n")
-
-    def close(self):
-        if self._to_stdout:
-            sys.stdout.write(self._dist_file.getvalue() + "\n" + self._summary_file.getvalue())
-        self._dist_file.close()
-        self._summary_file.close()
+    def __exit__(self, exc_type, exc, tb):
+        with self._files:
+            if exc_type is not None:
+                self._dist_file.write(TRUNCATION_MARKER + "," * DIST_HEADER.count(",") + "\n")
+                self._summary_file.write(TRUNCATION_MARKER + "," * SUMMARY_HEADER.count(",") + "\n")
+            if self._to_stdout:
+                self._dist_file.write("\n" + self._summary_file.getvalue())
 
 
-class _JsonSink:
+class _JsonSink(contextlib.AbstractContextManager):
+    """The layout of json.dumps({"n": ..., "records": [...]}, indent=2),
+    written one record at a time to the path or stdout. Used as a
+    with-block: an exception leaving the block adds "truncated": true
+    last; the file is always closed."""
+
     def __init__(self, path: str | None, size: int):
-        self._path = path
-        self._doc = {"n": size, "records": []}
+        with contextlib.ExitStack() as files:
+            if path is None:
+                self._file = sys.stdout
+            else:
+                self._file = files.enter_context(open(path, "w", newline=""))
+            self._file.write(f'{{\n  "n": {size},\n  "records": [')
+            self._files = files.pop_all()
+        self._empty = True
 
-    def write_record(self, step, t, probs, owner, summary):
-        record = {"step": step, "t": _rounded(t)}
-        record["prob_price"] = [_rounded(p) for p in probs]
-        record["prob_owner"] = [_rounded(o) for o in owner]
-        record.update({key: _rounded(value) for key, value in summary.items()})
-        self._doc["records"].append(record)
+    def write_record(self, step: int, t: float, report, norm_error: float):
+        record = {
+            "step": step,
+            "t": _rounded(t),
+            "prob_price": [_rounded(p) for p in report.prob_price],
+            "prob_owner": [_rounded(o) for o in report.prob_owner],
+        }
+        record.update(zip(SUMMARY_FIELDS, map(_rounded, _summary(report, norm_error))))
+        text = json.dumps(record, indent=2).replace("\n", "\n    ")
+        self._file.write(("\n    " if self._empty else ",\n    ") + text)
+        self._empty = False
 
-    def write_truncation_marker(self):
-        self._doc["truncated"] = True
-
-    def close(self):
-        text = json.dumps(self._doc, indent=2) + "\n"
-        if self._path is None:
-            sys.stdout.write(text)
-        else:
-            with open(self._path, "w", newline="") as handle:
-                handle.write(text)
+    def __exit__(self, exc_type, exc, tb):
+        with self._files:
+            end = "]" if self._empty else "\n  ]"
+            if exc_type is not None:
+                end += ',\n  "truncated": true'
+            self._file.write(end + "\n}\n")
 
 
 def _make_sink(scenario: Scenario):
@@ -177,9 +171,8 @@ def _load_scenario(path: str) -> Scenario:
 def cmd_state(scenario: Scenario, quiet: bool) -> int:
     state = build_initial_state(scenario)
     report = uncertainty_product_report(state)
-    sink = _make_sink(scenario)
-    _write_record(sink, 0, 0.0, report, abs(norm(state.base) - 1.0))
-    sink.close()
+    with _make_sink(scenario) as sink:
+        sink.write_record(0, 0.0, report, abs(norm(state.base) - 1.0))
     if not quiet and scenario.output.path is not None:
         print(f"state: N={scenario.size}, output written to {scenario.output.path}")
     return EXIT_OK
@@ -219,22 +212,15 @@ def cmd_evolve(scenario: Scenario, quiet: bool) -> int:
         raise ScenarioError("schema violation at evolution: block required for evolve")
     state0 = build_initial_state(scenario)
     params = scenario.evolution.params
-    sink = _make_sink(scenario)
     count = 0
     max_norm_error = 0.0
-    try:
+    with _make_sink(scenario) as sink:
         for record in evolve(
             state0, params, scenario.evolution.potential, scenario.output.record_every
         ):
-            _write_record(sink, record.step, record.time, record.report, record.norm_error)
+            sink.write_record(record.step, record.time, record.report, record.norm_error)
             count += 1
             max_norm_error = max(max_norm_error, record.norm_error)
-    except BaseException:
-        # keep the partial output, marked; main() reports the error
-        sink.write_truncation_marker()
-        raise
-    finally:
-        sink.close()
     if not quiet:
         print(f"evolve: {count} records, max norm_error {format_number(max_norm_error)}")
     return EXIT_OK
@@ -276,7 +262,7 @@ def main(argv=None) -> int:
     except (UsageError, ScenarioError) as exc:
         print(f"stockwave: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _NUMERIC_ERRORS as exc:
+    except StockwaveError as exc:
         print(f"stockwave: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -48,7 +48,6 @@ PROPAGATOR_UNITARITY_FACTOR = 1e-10
 class Potential:
     """Real, price-diagonal interaction term V(n, t)."""
 
-    kind = "abstract"
     time_dependent = False
 
     def evaluate(self, n: np.ndarray, t: float) -> np.ndarray:
@@ -57,7 +56,6 @@ class Potential:
 
 @dataclass(frozen=True)
 class ZeroPotential(Potential):
-    kind = "zero"
 
     def evaluate(self, n, t):
         return np.zeros(np.shape(n), dtype=np.float64)
@@ -69,7 +67,6 @@ class HarmonicPotential(Potential):
 
     center: float
     strength: float
-    kind = "harmonic"
 
     def __post_init__(self):
         if not (math.isfinite(self.center) and math.isfinite(self.strength)):
@@ -84,7 +81,6 @@ class LinearPotential(Potential):
     """slope * n."""
 
     slope: float
-    kind = "linear"
 
     def __post_init__(self):
         if not math.isfinite(self.slope):
@@ -99,8 +95,6 @@ class TabulatedPotential(Potential):
     """One fixed real value per price level."""
 
     values: tuple
-
-    kind = "tabulated"
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
@@ -124,7 +118,6 @@ class ModulatedPotential(Potential):
     base: Potential
     amplitude: float
     omega: float
-    kind = "modulated"
     time_dependent = True
 
     def __post_init__(self):

@@ -1,7 +1,9 @@
+import builtins
 import json
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -371,10 +373,10 @@ def test_csv_rows_format_like_format_number(tmp_path):
     values = np.array(
         [0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-5, 1e-20, 0.1, 1.0 / 3.0]
     )
-    sink = cli._CsvSink(str(tmp_path / "rows.csv"))
-    summary = dict.fromkeys(cli.SUMMARY_HEADER.split(",")[2:], -0.0)
-    sink.write_record(4, 0.25, values, -values, summary)
-    sink.close()
+    summary = dict.fromkeys(cli.SUMMARY_FIELDS[:-1], -0.0)
+    report = SimpleNamespace(prob_price=values, prob_owner=-values, **summary)
+    with cli._CsvSink(str(tmp_path / "rows.csv")) as sink:
+        sink.write_record(4, 0.25, report, -0.0)
     _, rows = read_csv(tmp_path / "rows.csv")
     assert rows == [
         ["4", "0.25", str(n), cli.format_number(p), cli.format_number(-p)]
@@ -382,3 +384,89 @@ def test_csv_rows_format_like_format_number(tmp_path):
     ]
     _, srows = read_csv(tmp_path / "rows_summary.csv")
     assert srows == [["4", "0.25"] + ["0"] * 7]
+
+
+def test_state_write_failure_closes_marked_outputs(tmp_path, monkeypatch, capsys):
+    config = write_config(tmp_path, delta_doc(tmp_path))
+    sinks = []
+
+    def failing_write(self, *args):
+        sinks.append(self)
+        raise OSError("synthetic write failure")
+
+    monkeypatch.setattr(cli._CsvSink, "write_record", failing_write)
+    assert run_cli(["--quiet", "state", "--config", config]) == 3
+    assert capsys.readouterr().err == "stockwave: synthetic write failure\n"
+    assert sinks[0]._dist_file.closed and sinks[0]._summary_file.closed
+    for name in ("out.csv", "out_summary.csv"):
+        _, rows = read_csv(tmp_path / name)
+        assert [row[0] for row in rows] == ["TRUNCATED"]
+
+
+def test_csv_sink_closes_distributions_when_summary_open_fails(tmp_path, monkeypatch, capsys):
+    (tmp_path / "out_summary.csv").mkdir()
+    config = write_config(tmp_path, delta_doc(tmp_path))
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        handle = builtins.open(*args, **kwargs)
+        opened.append(handle)
+        return handle
+
+    monkeypatch.setattr(cli, "open", tracking_open, raising=False)
+    assert run_cli(["--quiet", "state", "--config", config]) == 3
+    assert "out_summary.csv" in capsys.readouterr().err
+    assert opened and all(handle.closed for handle in opened)
+
+
+def test_json_evolve_memory_does_not_grow_with_records(tmp_path):
+    def peak(records):
+        doc = {
+            "N": 64,
+            "state": {"type": "gaussian", "kappa": 1.0, "n0": 20, "k0": 10},
+            "evolution": {"mu": 1.0, "dt": 0.01, "steps": records - 1},
+            "output": {"format": "json", "path": str(tmp_path / "run.json")},
+        }
+        config = write_config(tmp_path, doc)
+        tracemalloc.start()
+        try:
+            assert run_cli(["--quiet", "evolve", "--config", config]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(50)  # warm the caches the first run fills
+    few = peak(50)
+    many = peak(500)
+    assert len(json.loads((tmp_path / "run.json").read_text())["records"]) == 500
+    # holding every record costs ~22 KB each at N = 64: 1.1 MB -> 10.8 MB
+    assert many < 2 * few
+
+
+@pytest.mark.parametrize("command, written", [("state", 0), ("evolve", 2)])
+def test_json_failure_leaves_parseable_truncated_document(
+    tmp_path, monkeypatch, capsys, command, written
+):
+    doc = {
+        "N": 4,
+        "state": {"type": "delta", "m": 1},
+        "evolution": {"mu": 1.0, "dt": 0.01, "steps": 5},
+        "output": {"format": "json", "path": str(tmp_path / "run.json")},
+    }
+    config = write_config(tmp_path, doc)
+    calls = []
+    write_record = cli._JsonSink.write_record
+
+    def failing_write(self, *args):
+        calls.append(self)
+        if len(calls) > written:
+            raise OSError("synthetic write failure")
+        write_record(self, *args)
+
+    monkeypatch.setattr(cli._JsonSink, "write_record", failing_write)
+    assert run_cli(["--quiet", command, "--config", config]) == 3
+    text = (tmp_path / "run.json").read_text()
+    data = json.loads(text)
+    assert text == json.dumps(data, indent=2) + "\n"
+    assert list(data) == ["n", "records", "truncated"] and data["truncated"] is True
+    assert [record["step"] for record in data["records"]] == list(range(written))

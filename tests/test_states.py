@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stockwave import (
     PacketParams,
@@ -15,6 +16,7 @@ from stockwave import (
     uncertainty,
     upsilon_state,
 )
+from helpers import primes_to
 
 
 def test_theta3_at_origin_matches_direct_sum():
@@ -78,6 +80,18 @@ def test_upsilon_fixed_point_and_duality():
     out = forward(upsilon_state(ThetaParams(2.0 / 3.0, size)))
     dual = upsilon_state(ThetaParams(1.5, size))
     assert np.max(np.abs(out.values - dual.values)) < 1e-10
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    size=st.one_of(st.integers(1, 512), st.sampled_from(primes_to(512))),
+    kappa=st.floats(math.log(0.05), math.log(20.0)).map(math.exp),
+)
+def test_comb_duality_property(size, kappa):
+    # F[Upsilon_kappa] = Upsilon_{1/kappa} for every N and width
+    out = forward(upsilon_state(ThetaParams(kappa, size)))
+    dual = upsilon_state(ThetaParams(1.0 / kappa, size))
+    assert np.max(np.abs(out.values - dual.values)) < 1e-12
 
 
 def test_upsilon_normalized():
