@@ -20,8 +20,10 @@ one FFT pair, zero-padded when N has a large prime factor. A segment
 thus costs 2 transforms per step plus 2 per segment (one matrix product
 per step plus one for small N), and no step goes through the owner basis
 and back; records take the owner transform pair of the observables
-report. The state is never renormalized: norm drift is reported and
-policed, not hidden.
+report. The oracle's kinetic term F^-1 diag(k^2) F / (2*mu) comes from
+the small-N kick's dense builder, ``fourier.circulant_matrix``. The
+state is never renormalized: norm drift is reported and policed, not
+hidden.
 """
 from __future__ import annotations
 
@@ -32,14 +34,9 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import ConservationError, DimensionError, NumericalConsistencyError
-from .fourier import circulant
+from .fourier import circulant, circulant_matrix
 from .lattice import LatticeFunction, NormalizedState
-from .operators import (
-    LinearOperatorRepr,
-    UncertaintyReport,
-    ownership_operator,
-    uncertainty_product_report,
-)
+from .operators import LinearOperatorRepr, UncertaintyReport, uncertainty_product_report
 
 NORM_DRIFT_TOL = 1e-8
 PROPAGATOR_UNITARITY_FACTOR = 1e-10
@@ -281,8 +278,8 @@ def static_hamiltonian(
     """Dense O^2/(2*mu) + diag(V(., t_snapshot)); hermitian."""
     if not (mu > 0.0):
         raise ValueError("mu must be positive")
-    o = ownership_operator(size).matrix
-    h = (o @ o) / (2.0 * mu) + np.diag(
+    k = np.arange(size, dtype=np.float64)
+    h = circulant_matrix(k * k) / (2.0 * mu) + np.diag(
         _evaluated_potential(potential, size, t_snapshot).astype(np.complex128)
     )
     return LinearOperatorRepr((h + h.conj().T) / 2.0)

@@ -9,10 +9,10 @@ any N, primes included. The kernel's phase table is indexed with integer
 arithmetic reduced mod N before any trig call, so large index products
 never lose precision.
 
-``circulant`` builds an owner-diagonal operator F^-1 diag(d) F once and
-applies it as a single cyclic convolution: a dense N x N product on small
-lattices, otherwise one FFT pair, zero-padded to a fast length when N has
-a large prime factor.
+An owner-diagonal operator F^-1 diag(d) F is circulant: the dense form
+is ``circulant_matrix``, O(N^2) from one inverse FFT of d, and
+``circulant`` applies it as a cyclic convolution (that matrix on small
+lattices, else one FFT pair, zero-padded when N has a large prime factor).
 """
 from __future__ import annotations
 
@@ -112,12 +112,20 @@ def _fast_length(n: int) -> int:
     return n
 
 
+def circulant_matrix(diagonal) -> np.ndarray:
+    """Dense F^-1 diag(diagonal) F for a 1-d diagonal: entry (m, n) is
+    c[(m - n) mod N] with c = ifft(diagonal). O(N^2), no matrix product."""
+    kernel = np.fft.ifft(np.asarray(diagonal, dtype=np.complex128))
+    index = np.arange(kernel.size)
+    return kernel[np.subtract.outer(index, index) % kernel.size]
+
+
 def circulant(diagonal: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The operator x -> F^-1 diag(diagonal) F x, built once.
 
     It is the cyclic convolution of x with c = ifft(diagonal). Up to
-    NAIVE_CUTOFF it is one dense N x N matrix. Above, it is one FFT pair:
-    of length N with response ``diagonal`` while N's prime factors stay
+    NAIVE_CUTOFF it is ``circulant_matrix``. Above, it is one FFT pair: of
+    length N with response ``diagonal`` while N's prime factors stay
     within UNPADDED_PRIME_LIMIT, else of the smallest fast length
     M >= 2N - 1 with the wrapped kernel (c[0..N-1] at the front, c[1..N-1]
     at the tail), so the linear convolution's first N entries are the
@@ -127,14 +135,13 @@ def circulant(diagonal: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     if diagonal.ndim != 1 or diagonal.size < 1:
         raise DimensionError(f"circulant diagonal has shape {diagonal.shape}")
     size = diagonal.size
-    kernel = np.fft.ifft(diagonal)
     matrix = None
     if size <= NAIVE_CUTOFF:
-        index = np.arange(size)
-        matrix = kernel[np.subtract.outer(index, index) % size]
+        matrix = circulant_matrix(diagonal)
     elif _has_factors_at_most(size, UNPADDED_PRIME_LIMIT):
         length, response = size, diagonal
     else:
+        kernel = np.fft.ifft(diagonal)
         length = _fast_length(2 * size - 1)
         wrapped = np.zeros(length, dtype=np.complex128)
         wrapped[:size] = kernel
@@ -177,5 +184,5 @@ def inverse(psi, plan: FourierPlan | None = None) -> LatticeFunction:
 
 
 def forward_naive(phi) -> LatticeFunction:
-    """Reference path: the defining double sum, no acceleration."""
-    return LatticeFunction(plan_for(phi.size, "forward", "direct").apply(phi.values))
+    """Reference path: the defining double sum, its kernel built per call."""
+    return LatticeFunction(dft_matrix(phi.size) @ phi.values)

@@ -1,17 +1,18 @@
 """Price and ownership operators, their spectra, and uncertainty reports.
 
 The price operator multiplies by the lattice index; the ownership
-operator is its conjugate under the finite Fourier transform. Their
-commutator is anti-hermitian with purely imaginary eigenvalues that
-cluster near i*N/(2*pi) for large N.
+operator is its conjugate under the finite Fourier transform, the
+circulant F^-1 diag(k) F. Their commutator (m - n) O[m, n] is
+anti-hermitian with purely imaginary eigenvalues that cluster near
+i*N/(2*pi) for large N.
 
 The per-state report is matrix-free, O(N) memory and O(N log N) work.
-The dense N x N operators serve the spectrum path and act as oracles.
+The dense N x N operators serve the spectrum path and act as oracles;
+they are built per call in O(N^2), with no matrix product and no cache.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import (
     InvariantViolationError,
     NumericalConsistencyError,
 )
-from .fourier import dft_matrix, plan_for
+from .fourier import circulant_matrix, plan_for
 from .lattice import NormalizedState
 
 HERMITICITY_TOL = 1e-12
@@ -31,9 +32,9 @@ ROBERTSON_SLACK = 1e-9
 SATURATION_WINDOW = 1e-6
 SPECTRUM_RESIDUAL_FACTOR = 1e-8
 # Largest lattice for the dense spectrum path. commutator_spectrum peaks
-# at about eight live N x N complex matrices (tracemalloc, N = 32 and 64):
-# 8 * 16 B * 2048^2 = 512 MiB, half of a 1 GiB budget, the rest left for
-# BLAS workspace and the interpreter.
+# at about seven live N x N complex matrices (tracemalloc after a warm-up,
+# 7.3 at N = 24, 7.0 at N = 128): 7 * 16 B * 2048^2 = 448 MiB of a 1 GiB
+# budget. Memory is not what makes N = 2048 slow; the Jacobi sweeps are.
 MAX_DENSE_SIZE = 2048
 
 
@@ -99,14 +100,9 @@ def price_operator(size: int) -> LinearOperatorRepr:
     return LinearOperatorRepr(np.diag(np.arange(size, dtype=np.complex128)))
 
 
-@lru_cache(maxsize=32)
 def _ownership_matrix(size: int) -> np.ndarray:
-    fwd = dft_matrix(size, "forward")
-    inv = dft_matrix(size, "inverse")
-    raw = inv @ (np.arange(size)[:, None] * fwd)
-    out = (raw + raw.conj().T) / 2.0  # hermitian up to the bit
-    out.setflags(write=False)
-    return out
+    raw = circulant_matrix(np.arange(size))
+    return (raw + raw.conj().T) / 2.0  # hermitian up to the bit
 
 
 def ownership_operator(size: int) -> LinearOperatorRepr:
@@ -116,12 +112,11 @@ def ownership_operator(size: int) -> LinearOperatorRepr:
     return LinearOperatorRepr(_ownership_matrix(size))
 
 
-@lru_cache(maxsize=32)
 def _commutator_matrix(size: int) -> np.ndarray:
-    p = np.diag(np.arange(size, dtype=np.complex128))
-    o = _ownership_matrix(size)
-    out = p @ o - o @ p
-    out.setflags(write=False)
+    """(m - n) O[m, n], exactly anti-hermitian since O is exactly hermitian."""
+    levels = np.arange(size)
+    out = _ownership_matrix(size)
+    out *= np.subtract.outer(levels, levels)
     return out
 
 
@@ -178,9 +173,7 @@ def commutator_spectrum(size: int) -> SpectrumResult:
     if size < 2:
         raise ValueError("size must be >= 2")
     comm = _commutator_matrix(size)
-    h = -1j * comm
-    h = (h + h.conj().T) / 2.0
-    real_values, vectors = hermitian_eigensystem(h)
+    real_values, vectors = hermitian_eigensystem(-1j * comm)
     eigenvalues = 1j * real_values
     residual = float(
         np.max(np.linalg.norm(comm @ vectors - vectors * eigenvalues[None, :], axis=0))

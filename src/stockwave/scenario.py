@@ -112,7 +112,7 @@ def _index_in_range(value, size, path):
 
 
 def _parse_state(obj, size):
-    path = "initial_state"
+    path = "state"
     _check_keys(obj, path, required=("type",), optional=("m", "kappa", "n0", "k0", "re", "im"))
     kind = _as_str(obj["type"], f"{path}.type")
     if kind == "delta":

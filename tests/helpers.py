@@ -1,7 +1,7 @@
 """Shared test utilities."""
 import numpy as np
 
-from stockwave import LatticeFunction, NormalizedState, normalize
+from stockwave import LatticeFunction, NormalizedState, dft_matrix, normalize
 
 
 def primes_to(limit: int) -> list:
@@ -14,6 +14,18 @@ def random_lattice_function(rng, size: int) -> LatticeFunction:
 
 def random_state(rng, size: int) -> NormalizedState:
     return normalize(random_lattice_function(rng, size))
+
+
+def defining_ownership(size: int) -> np.ndarray:
+    # F^-1 diag(k) F by dense products: the definition, no circulant shortcut
+    k = np.diag(np.arange(size, dtype=np.complex128))
+    return dft_matrix(size, "inverse") @ k @ dft_matrix(size, "forward")
+
+
+def defining_commutator(size: int) -> np.ndarray:
+    p = np.diag(np.arange(size, dtype=np.complex128))
+    o = defining_ownership(size)
+    return p @ o - o @ p
 
 
 def random_hermitian(rng, size: int) -> np.ndarray:

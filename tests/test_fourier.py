@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,13 @@ from stockwave import (
     plan_for,
     upsilon_state,
 )
-from stockwave.fourier import NAIVE_CUTOFF, UNPADDED_PRIME_LIMIT, _fast_length, circulant
+from stockwave.fourier import (
+    NAIVE_CUTOFF,
+    UNPADDED_PRIME_LIMIT,
+    _fast_length,
+    circulant,
+    circulant_matrix,
+)
 from helpers import primes_to, random_lattice_function
 
 
@@ -83,6 +91,18 @@ def test_naive_agrees_with_fast_path():
 def test_naive_delta0_n9():
     out = forward_naive(delta_state(0, 9))
     assert np.allclose(out.values, np.ones(9) / 3.0, atol=1e-15)
+
+
+def test_forward_naive_keeps_no_kernel():
+    # a cached 1500-level kernel would pin 16 * 1500^2 B = 34 MiB
+    phi = LatticeFunction(np.ones(1500))
+    tracemalloc.start()
+    try:
+        forward_naive(phi)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
 
 
 def test_naive_preserves_norm():
@@ -215,6 +235,15 @@ def test_circulant_realizations_match_defining_sums(size):
 
 def test_circulant_padded_lengths():
     assert [_fast_length(n) for n in (1, 13, 133, 2061, 4123)] == [1, 14, 135, 2079, 4125]
+
+
+def test_circulant_matrix_indexes_the_kernel():
+    diagonal = np.exp(1j * np.arange(7) ** 2 / 3.0)
+    kernel = np.fft.ifft(diagonal)
+    matrix = circulant_matrix(diagonal)
+    for m in range(7):
+        for n in range(7):
+            assert matrix[m, n] == kernel[(m - n) % 7]
 
 
 def test_circulant_size_mismatch():

@@ -13,6 +13,7 @@ from stockwave import (
     NormalizedState,
     PacketParams,
     ThetaParams,
+    ZeroPotential,
     commutator,
     commutator_spectrum,
     delta_state,
@@ -26,12 +27,14 @@ from stockwave import (
     ownership_operator,
     price_distribution,
     price_operator,
+    static_hamiltonian,
     uncertainty,
     uncertainty_product_report,
     upsilon_state,
 )
-from stockwave.operators import MAX_DENSE_SIZE, _commutator_matrix, _ownership_matrix
-from helpers import random_state
+from stockwave import evolution, fourier, operators
+from stockwave.operators import MAX_DENSE_SIZE, _commutator_matrix
+from helpers import defining_commutator, defining_ownership, primes_to, random_state
 
 TABLE_N21 = {1: -133.965206767811, 11: 3.342253804929, 21: 92.750113443389}
 
@@ -219,6 +222,46 @@ def test_spectrum_matches_charpoly_oracle_at_small_n():
         assert np.max(np.abs(imag - roots)) < 1e-8
 
 
+@pytest.mark.parametrize("size", [2, 3, 5, 8, 21, 64, 97, 101])
+def test_spectrum_matches_lapack_on_defining_commutator(size):
+    expected = np.linalg.eigvalsh(-1j * defining_commutator(size))
+    imag = commutator_spectrum(size).eigenvalues.imag
+    assert np.max(np.abs(imag - expected)) < 1e-9 * size
+
+
+@pytest.mark.parametrize("size", [2, 3, 21, 101, 1031])
+def test_commutator_is_exactly_anti_hermitian(size):
+    h = -1j * _commutator_matrix(size)
+    assert np.array_equal(h, h.conj().T)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.one_of(st.integers(1, 300), st.sampled_from(primes_to(300))))
+def test_owner_diagonal_matrices_match_defining_products(size):
+    # worst over N = 1..300: 4.6e-16 N, 2.9e-16 N^2 and 3.9e-16 N^2
+    mu = 0.75
+    o_ref = defining_ownership(size)
+    assert np.max(np.abs(ownership_operator(size).matrix - o_ref)) < 1e-14 * size
+    comm_error = np.max(np.abs(_commutator_matrix(size) - defining_commutator(size)))
+    assert comm_error < 1e-14 * size**2
+    kinetic = static_hamiltonian(size, mu, ZeroPotential(), 0.0).matrix
+    assert np.max(np.abs(kinetic - o_ref @ o_ref / (2.0 * mu))) < 1e-14 * size**2
+
+
+def test_transposed_circulant_builder_fails_defining_products(monkeypatch):
+    # the small-N kick and exact_propagator share the builder, so the
+    # integrator-vs-oracle tests cannot see this mutant; the property must
+    build = fourier.circulant_matrix
+
+    def transposed(diagonal):
+        return build(diagonal).T
+
+    for module in (fourier, operators, evolution):
+        monkeypatch.setattr(module, "circulant_matrix", transposed)
+    with pytest.raises(AssertionError):
+        test_owner_diagonal_matrices_match_defining_products()
+
+
 def test_spectrum_rejects_small_n():
     with pytest.raises(ValueError):
         commutator_spectrum(1)
@@ -299,8 +342,7 @@ def test_report_near_point_state_keeps_its_spread():
 def test_dense_size_limit_fits_memory_budget():
     # the limit assumes the spectrum path's peak grows as N^2 from here
     size = 24
-    _ownership_matrix.cache_clear()
-    _commutator_matrix.cache_clear()
+    commutator_spectrum(size)  # the first FFT's one-time allocations
     tracemalloc.start()
     try:
         commutator_spectrum(size)

@@ -50,12 +50,15 @@ def test_fig2_config_keeps_kappa_as_given():
 
 def test_range_violation_names_field():
     bad = '{"N": 21, "state": {"type": "gaussian", "kappa": 1.0, "n0": 21, "k0": 0}}'
-    with pytest.raises(ScenarioError, match=r"initial_state\.n0"):
+    with pytest.raises(ScenarioError, match=r"at state\.n0"):
         parse_scenario(bad)
+    zero_kappa = '{"N": 21, "state": {"type": "gaussian", "kappa": 0, "n0": 3, "k0": 0}}'
+    with pytest.raises(ScenarioError, match=r"at state\.kappa"):
+        parse_scenario(zero_kappa)
 
 
 def test_delta_index_range():
-    with pytest.raises(ScenarioError, match=r"initial_state\.m"):
+    with pytest.raises(ScenarioError, match=r"at state\.m"):
         parse_scenario('{"N": 4, "state": {"type": "delta", "m": 4}}')
 
 
