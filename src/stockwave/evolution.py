@@ -35,10 +35,9 @@ import numpy as np
 
 from .errors import ConservationError, DimensionError, NumericalConsistencyError
 from .fourier import circulant, circulant_matrix
-from .lattice import LatticeFunction, NormalizedState
+from .lattice import NORM_DRIFT_TOL, LatticeFunction, NormalizedState
 from .operators import LinearOperatorRepr, UncertaintyReport, uncertainty_product_report
 
-NORM_DRIFT_TOL = 1e-8
 PROPAGATOR_UNITARITY_FACTOR = 1e-10
 
 

@@ -36,6 +36,12 @@ SPECTRUM_RESIDUAL_FACTOR = 1e-8
 # 7.3 at N = 24, 7.0 at N = 128): 7 * 16 B * 2048^2 = 448 MiB of a 1 GiB
 # budget. Memory is not what makes N = 2048 slow; the Jacobi sweeps are.
 MAX_DENSE_SIZE = 2048
+# Largest lattice for a scenario; state, uncertainty and evolve are O(N).
+# Their CLI peak (tracemalloc after a warm-up, N in {1024, 1031, 4099,
+# 16411}, primes zero-padded) is at most ~560 B per level, for a JSON
+# evolve of a custom state under a modulated tabulated trap (a comb at
+# kappa*N = 1: ~500 B): 560 B * 2^20 = 560 MiB of the same 1 GiB budget.
+MAX_LATTICE_SIZE = 2**20
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,25 +2,29 @@
 
 Unknown fields are rejected so a typo can never silently change the
 physics. Custom amplitudes arrive as separate real/imaginary arrays.
+
+States and potentials are tagged objects: "type" picks a dataclass from
+_STATE_TYPES or _POTENTIAL_TYPES, and the object holds exactly its
+fields(), each checked by the one reader _READERS keeps for that name
+(an index in [0, N), a positive number, N numbers, a nested potential).
+Serializing writes the fields back in field order, so a kind's field
+list lives only in its dataclass; a new potential is one dataclass plus
+one table entry.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .evolution import (
-    EvolutionParams,
-    HarmonicPotential,
-    LinearPotential,
-    ModulatedPotential,
-    Potential,
-    TabulatedPotential,
-    ZeroPotential,
+    EvolutionParams, HarmonicPotential, LinearPotential, ModulatedPotential, Potential,
+    TabulatedPotential, ZeroPotential,
 )
 from .lattice import LatticeFunction, NormalizedState, normalize
+from .operators import MAX_LATTICE_SIZE
 from .states import PacketParams, ThetaParams, delta_state, gaussian_packet
 
 
@@ -67,6 +71,14 @@ class Scenario:
     output: OutputSpec = OutputSpec()
 
 
+_STATE_TYPES = {"delta": DeltaStateSpec, "gaussian": GaussianStateSpec, "custom": CustomStateSpec}
+_POTENTIAL_TYPES = {
+    "zero": ZeroPotential, "harmonic": HarmonicPotential, "linear": LinearPotential,
+    "tabulated": TabulatedPotential, "modulated": ModulatedPotential,
+}
+_TYPE_NAMES = {cls: kind for kind, cls in {**_STATE_TYPES, **_POTENTIAL_TYPES}.items()}
+
+
 def _check_keys(obj, path, required, optional=()):
     if not isinstance(obj, dict):
         raise ScenarioError(f"schema violation at {path}: expected an object")
@@ -78,213 +90,165 @@ def _check_keys(obj, path, required, optional=()):
             raise ScenarioError(f"schema violation at {path}: missing field {key!r}")
 
 
-def _as_int(value, path):
+# Readers: (JSON value, lattice size N, field path) -> checked value.
+
+def _integer(value, size, path):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"schema violation at {path}: expected an integer")
     return value
 
 
-def _as_number(value, path):
+def _number(value, size, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"schema violation at {path}: expected a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ScenarioError(f"schema violation at {path}: expected a finite number")
     return value
 
 
-def _as_str(value, path):
+def _string(value, size, path):
     if not isinstance(value, str):
         raise ScenarioError(f"schema violation at {path}: expected a string")
     return value
 
 
-def _as_number_list(value, path):
-    if not isinstance(value, list):
-        raise ScenarioError(f"schema violation at {path}: expected an array of numbers")
-    return tuple(_as_number(v, f"{path}[{i}]") for i, v in enumerate(value))
-
-
-def _index_in_range(value, size, path):
-    if not 0 <= value < size:
+def _index(value, size, path):
+    if not 0 <= _integer(value, size, path) < size:
         raise ScenarioError(f"range violation at {path}: {value} not in [0, {size})")
     return value
 
 
+def _positive(value, size, path):
+    value = _number(value, size, path)
+    if value <= 0.0:
+        raise ScenarioError(f"range violation at {path}: must be > 0")
+    return value
+
+
+def _count(value, size, path):
+    if _integer(value, size, path) < 1:
+        raise ScenarioError(f"range violation at {path}: must be >= 1")
+    return value
+
+
+def _levels(value, size, path):
+    """One number per price level."""
+    if not isinstance(value, list):
+        raise ScenarioError(f"schema violation at {path}: expected an array of numbers")
+    if len(value) != size:
+        raise ScenarioError(f"range violation at {path}: expected {size} entries, got {len(value)}")
+    return tuple(_number(v, size, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _format(value, size, path):
+    if _string(value, size, path) not in ("csv", "json"):
+        raise ScenarioError(f"schema violation at {path}: must be 'csv' or 'json'")
+    return value
+
+
+def _potential(value, size, path):
+    return _parse_tagged(value, _POTENTIAL_TYPES, "potential", size, path)
+
+
+_READERS = {
+    "type": _string,
+    "m": _index, "n0": _index, "k0": _index,
+    "kappa": _positive, "mu": _positive, "dt": _positive,
+    "steps": _count, "record_every": _count,
+    "re": _levels, "im": _levels, "values": _levels,
+    "center": _number, "strength": _number, "slope": _number,
+    "amplitude": _number, "omega": _number, "t0": _number,
+    "base": _potential, "potential": _potential,
+    "format": _format, "path": _string,
+}
+
+
+def _read(obj, path, size, required, optional=()):
+    """The fields present in obj, each through its reader, after the key check."""
+    _check_keys(obj, path, required, optional)
+    return {key: _READERS[key](value, size, f"{path}.{key}") for key, value in obj.items()}
+
+
+def _parse_tagged(obj, table, family, size, path):
+    """The dataclass that obj's "type" names in table, built from exactly its fields."""
+    _check_keys(obj, path, required=("type",), optional=_READERS)  # exact once kind is known
+    kind = _string(obj["type"], size, f"{path}.type")
+    if kind not in table:
+        raise ScenarioError(f"schema violation at {path}.type: unknown {family} type {kind!r}")
+    values = _read(obj, path, size, required=("type",) + tuple(f.name for f in fields(table[kind])))
+    del values["type"]
+    return table[kind](**values)
+
+
+def _tagged_doc(spec):
+    """The inverse of _parse_tagged: "type", then the fields in field order."""
+    if type(spec) not in _TYPE_NAMES:
+        raise ScenarioError(f"cannot serialize {spec!r}")
+    doc = {"type": _TYPE_NAMES[type(spec)]}
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        if isinstance(value, tuple):
+            value = list(value)
+        elif isinstance(value, Potential):
+            value = _tagged_doc(value)
+        doc[field.name] = value
+    return doc
+
+
 def _parse_state(obj, size):
-    path = "state"
-    _check_keys(obj, path, required=("type",), optional=("m", "kappa", "n0", "k0", "re", "im"))
-    kind = _as_str(obj["type"], f"{path}.type")
-    if kind == "delta":
-        _check_keys(obj, path, required=("type", "m"))
-        return DeltaStateSpec(m=_index_in_range(_as_int(obj["m"], f"{path}.m"), size, f"{path}.m"))
-    if kind == "gaussian":
-        _check_keys(obj, path, required=("type", "kappa", "n0", "k0"))
-        kappa = _as_number(obj["kappa"], f"{path}.kappa")
-        if kappa <= 0.0:
-            raise ScenarioError(f"range violation at {path}.kappa: must be > 0")
-        return GaussianStateSpec(
-            kappa=kappa,
-            n0=_index_in_range(_as_int(obj["n0"], f"{path}.n0"), size, f"{path}.n0"),
-            k0=_index_in_range(_as_int(obj["k0"], f"{path}.k0"), size, f"{path}.k0"),
-        )
-    if kind == "custom":
-        _check_keys(obj, path, required=("type", "re", "im"))
-        re = _as_number_list(obj["re"], f"{path}.re")
-        im = _as_number_list(obj["im"], f"{path}.im")
-        if len(re) != size or len(im) != size:
-            raise ScenarioError(
-                f"range violation at {path}: re/im must each hold {size} entries"
-            )
-        if not any(r != 0.0 or i != 0.0 for r, i in zip(re, im)):
-            raise ScenarioError(f"range violation at {path}: amplitudes are all zero")
-        return CustomStateSpec(re=re, im=im)
-    raise ScenarioError(f"schema violation at {path}.type: unknown state type {kind!r}")
-
-
-def _parse_potential(obj, size, path):
-    _check_keys(
-        obj, path,
-        required=("type",),
-        optional=("center", "strength", "slope", "values", "base", "amplitude", "omega"),
-    )
-    kind = _as_str(obj["type"], f"{path}.type")
-    if kind == "zero":
-        _check_keys(obj, path, required=("type",))
-        return ZeroPotential()
-    if kind == "harmonic":
-        _check_keys(obj, path, required=("type", "center", "strength"))
-        return HarmonicPotential(
-            center=_as_number(obj["center"], f"{path}.center"),
-            strength=_as_number(obj["strength"], f"{path}.strength"),
-        )
-    if kind == "linear":
-        _check_keys(obj, path, required=("type", "slope"))
-        return LinearPotential(slope=_as_number(obj["slope"], f"{path}.slope"))
-    if kind == "tabulated":
-        _check_keys(obj, path, required=("type", "values"))
-        values = _as_number_list(obj["values"], f"{path}.values")
-        if len(values) != size:
-            raise ScenarioError(
-                f"range violation at {path}.values: expected {size} entries, got {len(values)}"
-            )
-        return TabulatedPotential(values=values)
-    if kind == "modulated":
-        _check_keys(obj, path, required=("type", "base", "amplitude", "omega"))
-        return ModulatedPotential(
-            base=_parse_potential(obj["base"], size, f"{path}.base"),
-            amplitude=_as_number(obj["amplitude"], f"{path}.amplitude"),
-            omega=_as_number(obj["omega"], f"{path}.omega"),
-        )
-    raise ScenarioError(f"schema violation at {path}.type: unknown potential type {kind!r}")
+    state = _parse_tagged(obj, _STATE_TYPES, "state", size, "state")
+    if isinstance(state, CustomStateSpec) and not any(state.re + state.im):
+        raise ScenarioError("range violation at state: amplitudes are all zero")
+    return state
 
 
 def _parse_evolution(obj, size):
-    path = "evolution"
-    _check_keys(obj, path, required=("mu", "dt", "steps"), optional=("t0", "potential"))
-    mu = _as_number(obj["mu"], f"{path}.mu")
-    dt = _as_number(obj["dt"], f"{path}.dt")
-    steps = _as_int(obj["steps"], f"{path}.steps")
-    t0 = _as_number(obj.get("t0", 0.0), f"{path}.t0")
-    if mu <= 0.0:
-        raise ScenarioError(f"schema violation at {path}.mu: must be > 0")
-    if dt <= 0.0:
-        raise ScenarioError(f"schema violation at {path}.dt: must be > 0")
-    if steps < 1:
-        raise ScenarioError(f"schema violation at {path}.steps: must be >= 1")
-    potential = ZeroPotential()
-    if "potential" in obj:
-        potential = _parse_potential(obj["potential"], size, f"{path}.potential")
-    return EvolutionSpec(
-        params=EvolutionParams(mu=mu, dt=dt, steps=steps, t0=t0),
-        potential=potential,
-    )
+    values = _read(obj, "evolution", size, ("mu", "dt", "steps"), ("t0", "potential"))
+    potential = values.pop("potential", ZeroPotential())
+    return EvolutionSpec(params=EvolutionParams(**values), potential=potential)
 
 
-def _parse_output(obj):
-    path = "output"
-    _check_keys(obj, path, required=(), optional=("format", "path", "record_every"))
-    fmt = _as_str(obj.get("format", "csv"), f"{path}.format")
-    if fmt not in ("csv", "json"):
-        raise ScenarioError(f"schema violation at {path}.format: must be 'csv' or 'json'")
-    out_path = None
-    if "path" in obj:
-        out_path = _as_str(obj["path"], f"{path}.path")
-    record_every = _as_int(obj.get("record_every", 1), f"{path}.record_every")
-    if record_every < 1:
-        raise ScenarioError(f"schema violation at {path}.record_every: must be >= 1")
-    return OutputSpec(format=fmt, path=out_path, record_every=record_every)
-
-
-def parse_scenario(text) -> Scenario:
-    """Parse and validate one scenario document (UTF-8 JSON)."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ScenarioError(f"syntax error: not valid UTF-8 ({exc})") from exc
+def _load_json(text):
     try:
-        doc = json.loads(text)
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    _check_keys(doc, "top level", required=("N", "state"), optional=("evolution", "output"))
-    size = _as_int(doc["N"], "N")
-    if size < 1:
-        raise ScenarioError("range violation at N: must be >= 1")
-    state = _parse_state(doc["state"], size)
-    evolution = _parse_evolution(doc["evolution"], size) if "evolution" in doc else None
-    output = _parse_output(doc["output"]) if "output" in doc else OutputSpec()
-    return Scenario(size=size, state=state, evolution=evolution, output=output)
+    except ValueError as exc:  # not UTF-8, or an integer past int()'s digit limit
+        raise ScenarioError(f"syntax error: {exc}") from exc
 
 
-def _potential_doc(potential: Potential):
-    if isinstance(potential, ZeroPotential):
-        return {"type": "zero"}
-    if isinstance(potential, HarmonicPotential):
-        return {"type": "harmonic", "center": potential.center, "strength": potential.strength}
-    if isinstance(potential, LinearPotential):
-        return {"type": "linear", "slope": potential.slope}
-    if isinstance(potential, TabulatedPotential):
-        return {"type": "tabulated", "values": list(potential.values)}
-    if isinstance(potential, ModulatedPotential):
-        return {
-            "type": "modulated",
-            "base": _potential_doc(potential.base),
-            "amplitude": potential.amplitude,
-            "omega": potential.omega,
-        }
-    raise ScenarioError(f"cannot serialize potential {potential!r}")
+def parse_scenario(text) -> Scenario:
+    """Parse and validate one scenario document (UTF-8 JSON)."""
+    try:  # the JSON decoder and nested potentials both recurse
+        doc = _load_json(text)
+        _check_keys(doc, "top level", required=("N", "state"), optional=("evolution", "output"))
+        size = _integer(doc["N"], None, "N")
+        if not 1 <= size <= MAX_LATTICE_SIZE:
+            raise ScenarioError(f"range violation at N: must be in [1, {MAX_LATTICE_SIZE}]")
+        state = _parse_state(doc["state"], size)
+        evolution = _parse_evolution(doc["evolution"], size) if "evolution" in doc else None
+        out = _read(doc.get("output", {}), "output", size, (), ("format", "path", "record_every"))
+        return Scenario(size=size, state=state, evolution=evolution, output=OutputSpec(**out))
+    except RecursionError:
+        raise ScenarioError("syntax error: nested too deeply") from None
 
 
 def serialize_scenario(scenario: Scenario) -> str:
     """Canonical JSON text; parse_scenario(serialize_scenario(s)) == s."""
-    doc = {"N": scenario.size}
-    state = scenario.state
-    if isinstance(state, DeltaStateSpec):
-        doc["state"] = {"type": "delta", "m": state.m}
-    elif isinstance(state, GaussianStateSpec):
-        doc["state"] = {"type": "gaussian", "kappa": state.kappa, "n0": state.n0, "k0": state.k0}
-    elif isinstance(state, CustomStateSpec):
-        doc["state"] = {"type": "custom", "re": list(state.re), "im": list(state.im)}
-    else:
-        raise ScenarioError(f"cannot serialize state {state!r}")
+    doc = {"N": scenario.size, "state": _tagged_doc(scenario.state)}
     if scenario.evolution is not None:
-        params = scenario.evolution.params
-        doc["evolution"] = {
-            "mu": params.mu,
-            "dt": params.dt,
-            "steps": params.steps,
-            "t0": params.t0,
-            "potential": _potential_doc(scenario.evolution.potential),
-        }
-    doc["output"] = {
-        "format": scenario.output.format,
-        "record_every": scenario.output.record_every,
-    }
-    if scenario.output.path is not None:
-        doc["output"]["path"] = scenario.output.path
+        params, potential = scenario.evolution.params, scenario.evolution.potential
+        doc["evolution"] = {**asdict(params), "potential": _tagged_doc(potential)}
+    out = scenario.output
+    doc["output"] = {"format": out.format, "record_every": out.record_every}
+    if out.path is not None:
+        doc["output"]["path"] = out.path
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -294,12 +258,7 @@ def build_initial_state(scenario: Scenario) -> NormalizedState:
     if isinstance(state, DeltaStateSpec):
         return delta_state(state.m, scenario.size)
     if isinstance(state, GaussianStateSpec):
-        return gaussian_packet(
-            PacketParams(
-                theta=ThetaParams(kappa=state.kappa, size=scenario.size),
-                n0=state.n0,
-                k0=state.k0,
-            )
-        )
+        theta = ThetaParams(kappa=state.kappa, size=scenario.size)
+        return gaussian_packet(PacketParams(theta=theta, n0=state.n0, k0=state.k0))
     values = np.asarray(state.re, dtype=np.float64) + 1j * np.asarray(state.im, dtype=np.float64)
     return normalize(LatticeFunction(values))

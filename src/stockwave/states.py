@@ -94,8 +94,18 @@ def _translate_window(kappa: float, size: int) -> int:
 
 
 def gamma_state(params: ThetaParams) -> LatticeFunction:
-    """Unnormalized Gaussian comb; real and strictly positive."""
+    """Unnormalized Gaussian comb; real and strictly positive.
+
+    For kappa*N >= 1 it is the translate sum, a few translates wide. Below
+    that the translates would number ~1/(kappa*N), so the comb is summed
+    as its theta series theta3(n/N, 1/(kappa*N)) / sqrt(kappa*N) instead,
+    whose terms then fall faster than exp(-pi*a^2): at most three of them
+    reach the cutoff.
+    """
     kappa, size = params.kappa, params.size
+    if kappa * size < 1.0:
+        t = 1.0 / (kappa * size)
+        return LatticeFunction([theta3(n / size, t) / math.sqrt(kappa * size) for n in range(size)])
     window = _translate_window(kappa, size)
     n = np.arange(size)[:, None]
     m = np.arange(-window, window + 1)[None, :]

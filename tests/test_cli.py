@@ -15,6 +15,7 @@ from stockwave import (
     NumericalConsistencyError,
     cli,
 )
+from stockwave.operators import MAX_LATTICE_SIZE
 
 
 def run_cli(args):
@@ -470,3 +471,58 @@ def test_json_failure_leaves_parseable_truncated_document(
     assert text == json.dumps(data, indent=2) + "\n"
     assert list(data) == ["n", "records", "truncated"] and data["truncated"] is True
     assert [record["step"] for record in data["records"]] == list(range(written))
+
+
+@pytest.mark.parametrize("text", [
+    '{"N": %d, "state": {"type": "delta", "m": 0}}' % 10**30,
+    '{"N": %d, "state": {"type": "delta", "m": 0}}' % 10**12,
+    '{"N": 2, "state": {"type": "delta", "m": 0}, "output": %s}' % ("[" * 100_000 + "]" * 100_000),
+])
+def test_oversized_or_deep_scenario_exits_1_with_one_line(tmp_path, capsys, text):
+    config = tmp_path / "scenario.json"
+    config.write_text(text)
+    assert run_cli(["state", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("stockwave: ") and captured.err.count("\n") == 1
+
+
+def test_tiny_kappa_state_builds(tmp_path):
+    doc = {
+        "N": 21,
+        "state": {"type": "gaussian", "kappa": 1e-14, "n0": 3, "k0": 5},
+        "output": {"format": "csv", "path": str(tmp_path / "out.csv")},
+    }
+    assert run_cli(["--quiet", "state", "--config", write_config(tmp_path, doc)]) == 0
+    _, rows = read_csv(tmp_path / "out.csv")
+    assert [float(row[3]) for row in rows] == pytest.approx([1.0 / 21.0] * 21, abs=1e-15)
+
+
+@pytest.mark.parametrize("size", [1024, 1031])
+def test_lattice_size_limit_fits_memory_budget(tmp_path, size):
+    # MAX_LATTICE_SIZE assumes each scenario command's peak grows as N
+    # from here; 1031 is prime, so its kicks run zero-padded
+    custom = {"type": "custom", "re": [1.0 + i % 3 for i in range(size)], "im": [0.5] * size}
+    comb = {"type": "gaussian", "kappa": 1.0 / size, "n0": 7, "k0": 14}  # widest translate sum
+    trap = {"type": "tabulated", "values": [1e-3 * i for i in range(size)]}
+    evolution = {
+        "mu": 1.0, "dt": 1e-3, "steps": 10,
+        "potential": {"type": "modulated", "base": trap, "amplitude": 0.5, "omega": 2.0},
+    }
+    for state in (custom, comb):
+        for command in ("state", "evolve"):
+            doc = {
+                "N": size,
+                "state": state,
+                "evolution": evolution,
+                "output": {"format": "json", "path": str(tmp_path / "out.json"), "record_every": 5},
+            }
+            argv = ["--quiet", command, "--config", write_config(tmp_path, doc)]
+            assert run_cli(argv) == 0  # one-time allocations
+            tracemalloc.start()
+            try:
+                assert run_cli(argv) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak * (MAX_LATTICE_SIZE / size) <= 2**30, (command, state["type"], peak / size)

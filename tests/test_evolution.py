@@ -26,6 +26,7 @@ from stockwave import (
     kinetic_half_step,
     owner_distribution,
     potential_full_step,
+    price_distribution,
     static_hamiltonian,
     strang_step,
 )
@@ -420,3 +421,15 @@ def test_padded_kick_matches_exact_propagator_at_prime_size(free_prime_run, reco
     phi0, params, exact = free_prime_run
     final = list(evolve(phi0, params, ZeroPotential(), record_every))[-1]
     assert np.max(np.abs(final.state.values - exact)) < 1e-10
+
+
+def test_distribution_helpers_accept_every_evolve_record():
+    # the README packet: by step 10,000 the norm has drifted ~2e-12, well
+    # inside the conservation budget, and the helpers must still take it
+    packet = gaussian_packet(PacketParams(ThetaParams(2.0 / 3.0, 21), 7, 14))
+    params = EvolutionParams(mu=1.0, dt=1e-3, steps=10_000)
+    records = evolve(packet, params, HarmonicPotential(center=10.0, strength=0.1))
+    for record in records:
+        assert np.array_equal(price_distribution(record.state).probs, record.report.prob_price)
+        assert np.array_equal(owner_distribution(record.state).probs, record.report.prob_owner)
+    assert record.step == 10_000

@@ -175,3 +175,11 @@ def test_probability_vector_validation():
         ProbabilityVector([-0.1, 1.1])
     vec = ProbabilityVector([0.25, 0.75])
     assert vec.mean() == pytest.approx(0.75)
+
+
+def test_probability_sum_tolerance_is_the_norm_budget():
+    # a state within the evolve norm budget passes; beyond it still raises
+    budget = 1e-8
+    ProbabilityVector([0.5, 0.5 + 2.0 * budget])
+    with pytest.raises(ValueError, match="probabilities sum to"):
+        ProbabilityVector([0.5, 0.5 + 2.1 * budget])

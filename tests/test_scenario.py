@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stockwave import (
     CustomStateSpec,
@@ -22,6 +23,7 @@ from stockwave import (
     parse_scenario,
     serialize_scenario,
 )
+from stockwave.operators import MAX_LATTICE_SIZE
 
 MINIMAL = '{"N": 21, "state": {"type": "delta", "m": 7}}'
 
@@ -207,3 +209,170 @@ def test_default_potential_is_zero():
     scenario = parse_scenario(json.dumps(doc))
     assert scenario.evolution.potential == ZeroPotential()
     assert scenario.evolution.params.t0 == 0.0
+
+
+NESTED = Scenario(
+    size=3,
+    state=GaussianStateSpec(kappa=0.5, n0=1, k0=2),
+    evolution=EvolutionSpec(
+        params=EvolutionParams(mu=1.5, dt=0.01, steps=4, t0=2.5),
+        potential=ModulatedPotential(
+            base=ModulatedPotential(
+                base=TabulatedPotential((1.0, -2.5, 3e-07)), amplitude=0.3, omega=-1.0
+            ),
+            amplitude=2.0,
+            omega=0.5,
+        ),
+    ),
+)
+
+NESTED_TEXT = """{
+  "N": 3,
+  "state": {
+    "type": "gaussian",
+    "kappa": 0.5,
+    "n0": 1,
+    "k0": 2
+  },
+  "evolution": {
+    "mu": 1.5,
+    "dt": 0.01,
+    "steps": 4,
+    "t0": 2.5,
+    "potential": {
+      "type": "modulated",
+      "base": {
+        "type": "modulated",
+        "base": {
+          "type": "tabulated",
+          "values": [
+            1.0,
+            -2.5,
+            3e-07
+          ]
+        },
+        "amplitude": 0.3,
+        "omega": -1.0
+      },
+      "amplitude": 2.0,
+      "omega": 0.5
+    }
+  },
+  "output": {
+    "format": "csv",
+    "record_every": 1
+  }
+}
+"""
+
+
+def test_nested_potential_serializes_in_field_order():
+    assert serialize_scenario(NESTED) == NESTED_TEXT
+    assert parse_scenario(NESTED_TEXT) == NESTED
+
+
+def test_lattice_size_limit():
+    delta = '{"N": %d, "state": {"type": "delta", "m": 0}}'
+    assert parse_scenario(delta % MAX_LATTICE_SIZE).size == MAX_LATTICE_SIZE
+    for size in (MAX_LATTICE_SIZE + 1, 10**12, 10**30):
+        with pytest.raises(ScenarioError, match=r"range violation at N"):
+            parse_scenario(delta % size)
+
+
+def test_deep_nesting_is_a_scenario_error():
+    deep = '{"N": 2, "state": {"type": "delta", "m": 0}, "output": %s}'
+    with pytest.raises(ScenarioError, match="nested too deeply"):
+        parse_scenario(deep % ("[" * 100_000 + "]" * 100_000))
+    # shallow enough for the JSON decoder, too deep for the schema walk
+    potential = {"type": "zero"}
+    for _ in range(400):
+        potential = {"type": "modulated", "base": potential, "amplitude": 1.0, "omega": 1.0}
+    doc = {
+        "N": 2,
+        "state": {"type": "delta", "m": 0},
+        "evolution": {"mu": 1.0, "dt": 0.1, "steps": 1, "potential": potential},
+    }
+    with pytest.raises(ScenarioError, match="nested too deeply"):
+        parse_scenario(json.dumps(doc))
+
+
+def test_numbers_beyond_float_or_int_range():
+    gaussian = '{"N": 4, "state": {"type": "gaussian", "kappa": %s, "n0": 0, "k0": 0}}'
+    with pytest.raises(ScenarioError, match=r"at state\.kappa: expected a finite number"):
+        parse_scenario(gaussian % ("9" * 400))
+    with pytest.raises(ScenarioError, match="syntax error"):
+        parse_scenario(gaussian % ("9" * 5000))
+
+
+VALID = {
+    "N": 3,
+    "state": {"type": "custom", "re": [1.0, 0.0, 0.5], "im": [0.0, 0.25, 0.0]},
+    "evolution": {
+        "mu": 1.0,
+        "dt": 0.1,
+        "steps": 2,
+        "t0": 0.0,
+        "potential": {
+            "type": "modulated",
+            "base": {"type": "tabulated", "values": [0.0, 1.0, 2.0]},
+            "amplitude": 0.5,
+            "omega": 2.0,
+        },
+    },
+    "output": {"format": "json", "path": "out.json", "record_every": 1},
+}
+KEYS = [
+    "N", "state", "evolution", "output", "type", "m", "kappa", "n0", "k0", "re", "im", "mu",
+    "dt", "steps", "t0", "potential", "center", "strength", "slope", "values", "base",
+    "amplitude", "omega", "format", "path", "record_every",
+]
+KINDS = ["delta", "gaussian", "custom", "zero", "harmonic", "linear", "tabulated",
+         "modulated", "csv", "json"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(KINDS) | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), children, max_size=4),
+    max_leaves=16,
+)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for index, value in enumerate(doc):
+            yield from _paths(value, prefix + (index,))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    # VALID with one field replaced, deleted, or joined by a stray sibling
+    doc = json.loads(json.dumps(VALID))
+    path = draw(st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    action = draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "replace":
+        parent[path[-1]] = draw(json_values)
+    elif action == "delete":
+        del parent[path[-1]]
+    elif isinstance(parent, dict):
+        parent[draw(st.sampled_from(KEYS))] = draw(json_values)
+    else:
+        parent.append(draw(json_values))
+    return json.dumps(doc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(text=st.one_of(json_values.map(json.dumps), mutated_scenarios(), st.text(max_size=20)))
+def test_parse_returns_scenario_or_raises_scenario_error(text):
+    try:
+        scenario = parse_scenario(text)
+    except ScenarioError:
+        return
+    assert isinstance(scenario, Scenario)
+    assert parse_scenario(serialize_scenario(scenario)) == scenario

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,13 +86,37 @@ def test_upsilon_fixed_point_and_duality():
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(
     size=st.one_of(st.integers(1, 512), st.sampled_from(primes_to(512))),
-    kappa=st.floats(math.log(0.05), math.log(20.0)).map(math.exp),
+    kappa=st.floats(math.log(1e-12), math.log(20.0)).map(math.exp),
 )
 def test_comb_duality_property(size, kappa):
     # F[Upsilon_kappa] = Upsilon_{1/kappa} for every N and width
     out = forward(upsilon_state(ThetaParams(kappa, size)))
     dual = upsilon_state(ThetaParams(1.0 / kappa, size))
     assert np.max(np.abs(out.values - dual.values)) < 1e-12
+
+
+def test_comb_below_unit_width_is_its_theta_series():
+    # kappa*N < 1 sums the theta series; the translate sum is the oracle
+    size, kappa = 21, 0.02
+    n = np.arange(size)[:, None]
+    m = np.arange(-40, 41)[None, :]
+    direct = np.exp(-kappa * np.pi / size * (m * size + n) ** 2).sum(axis=1)
+    comb = gamma_state(ThetaParams(kappa, size)).values.real
+    assert np.max(np.abs(comb - direct) / direct) < 1e-14
+
+
+def test_tiny_kappa_comb_memory_is_bounded():
+    # the translate sum would need ~8e6 translates per level here
+    size = 21
+    upsilon_state(ThetaParams(1e-14, size))  # one-time allocations
+    tracemalloc.start()
+    try:
+        comb = upsilon_state(ThetaParams(1e-14, size))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    assert np.allclose(comb.values, 1.0 / math.sqrt(size), rtol=0.0, atol=1e-15)
 
 
 def test_upsilon_normalized():
