@@ -8,10 +8,14 @@ Commands:
     evolve --config FILE       time evolution per the scenario
 
 state and evolve write through one sink, CSV or JSON per the scenario,
-used as a with-block. Each record is written as it arrives, so memory
-stays O(N) whatever the record count. An exception that aborts the block
-ends the partial output in a truncation marker (a TRUNCATED row, or
-"truncated": true) and closes it.
+used as a with-block. Each record is written as the evolve iterator
+yields it; that iterator computes records a bounded block at a time, so
+memory stays O(N) whatever the record count. The CSV sink formats a
+record's distribution rows with one % call on a template cached per N
+(one call per ROWS_PER_FORMAT rows on larger lattices).
+An exception that aborts the block ends the partial output in a
+truncation marker (a TRUNCATED row, or "truncated": true) and closes it;
+every record before the failure is written first.
 
 Exit codes: 0 success, 1 usage or schema problem, 2 numerical invariant
 violation, 3 I/O failure. All emitted numbers are deterministic for a
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -74,6 +79,24 @@ def _format_eigenvalue(value: float) -> str:
     return f"{sign}{whole}.{frac:012d}"
 
 
+# Rows per % call: one call per record up to here, a call per chunk of
+# rows beyond. One % call building a record's ~46 KB of rows at N = 1031
+# raised the evolve-prime peak RSS by ~1 MB; chunks of 256 rows did not.
+ROWS_PER_FORMAT = 256
+
+
+@functools.lru_cache(maxsize=4)
+def _dist_templates(size: int) -> tuple:
+    """(first row, template) per chunk of one record's distribution rows:
+    each row's %s takes "step,t," and %.15g is format_number's format."""
+    starts = range(0, size, ROWS_PER_FORMAT)
+    rows = [f"%s{n},%.15g,%.15g\n" for n in range(size)]
+    return tuple((start, "".join(rows[start:start + ROWS_PER_FORMAT])) for start in starts)
+
+
+_SUMMARY_ROW = "%s" + ",".join(["%.15g"] * len(SUMMARY_FIELDS)) + "\n"
+
+
 def _summary(report, norm_error):
     """Summary values in SUMMARY_FIELDS order; all but norm_error are the report's."""
     return [norm_error if key == "norm_error" else getattr(report, key) for key in SUMMARY_FIELDS]
@@ -81,7 +104,7 @@ def _summary(report, norm_error):
 
 class _CsvSink(contextlib.AbstractContextManager):
     """Distributions at the scenario path, summary at a _summary sibling;
-    both stream one write per record. Without a path the distributions
+    both are written record by record. Without a path the distributions
     stream to stdout and the summary table follows them at the end. Used
     as a with-block: an exception leaving the block ends both tables in a
     TRUNCATED row; the files are always closed."""
@@ -101,16 +124,17 @@ class _CsvSink(contextlib.AbstractContextManager):
             self._files = files.pop_all()
 
     def write_record(self, step: int, t: float, report, norm_error: float):
-        t_text = format_number(t)
-        # %.15g is format_number's format; adding 0.0 folds -0.0 as it does
-        row = f"{step},{t_text},%d,%.15g,%.15g\n"
-        probs, owner = report.prob_price + 0.0, report.prob_owner + 0.0
-        self._dist_file.write("".join(
-            row % values for values in zip(range(len(probs)), probs.tolist(), owner.tolist())
-        ))
-        self._summary_file.write(
-            f"{step},{t_text}," + ",".join(map(format_number, _summary(report, norm_error))) + "\n"
-        )
+        prefix = f"{step},{format_number(t)},"
+        size = len(report.prob_price)
+        fields = [prefix] * (3 * size)
+        # adding 0.0 folds -0.0 as format_number does
+        fields[1::3] = (report.prob_price + 0.0).tolist()
+        fields[2::3] = (report.prob_owner + 0.0).tolist()
+        for start, template in _dist_templates(size):
+            chunk = fields[3 * start:3 * (start + ROWS_PER_FORMAT)]
+            self._dist_file.write(template % tuple(chunk))
+        summary = [value + 0.0 for value in _summary(report, norm_error)]
+        self._summary_file.write(_SUMMARY_ROW % (prefix, *summary))
 
     def __exit__(self, exc_type, exc, tb):
         with self._files:
@@ -221,6 +245,7 @@ def cmd_evolve(scenario: Scenario, quiet: bool) -> int:
             sink.write_record(record.step, record.time, record.report, record.norm_error)
             count += 1
             max_norm_error = max(max_norm_error, record.norm_error)
+            del record  # the last record of a block keeps the block alive
     if not quiet:
         print(f"evolve: {count} records, max norm_error {format_number(max_norm_error)}")
     return EXIT_OK

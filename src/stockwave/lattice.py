@@ -37,6 +37,14 @@ class LatticeFunction:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
+    @classmethod
+    def _trusted(cls, values: np.ndarray) -> "LatticeFunction":
+        # Integrator internals: a row of a read-only record block whose
+        # finiteness the norm check already covers; kept as a view.
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "values", values)
+        return obj
+
     @property
     def size(self) -> int:
         return self.values.size
@@ -121,7 +129,6 @@ def price_distribution(state: NormalizedState) -> ProbabilityVector:
 
 
 def owner_distribution(state: NormalizedState) -> ProbabilityVector:
-    """Probability of each owner: |F[Phi](k)|^2."""
-    from .fourier import forward  # lattice is imported by fourier
-
-    return ProbabilityVector(np.abs(forward(state.base).values) ** 2)
+    """Probability of each owner: |F[Phi](k)|^2, by the observables
+    report's transform (np.fft for every N), so the two agree bit for bit."""
+    return ProbabilityVector(np.abs(np.fft.fft(state.values, norm="ortho")) ** 2)

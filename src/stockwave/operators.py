@@ -6,13 +6,17 @@ circulant F^-1 diag(k) F. Their commutator (m - n) O[m, n] is
 anti-hermitian with purely imaginary eigenvalues that cluster near
 i*N/(2*pi) for large N.
 
-The per-state report is matrix-free, O(N) memory and O(N log N) work.
-The dense N x N operators serve the spectrum path and act as oracles;
+The observables report is matrix-free, O(N) memory and O(N log N) work
+per state. It takes a (B, N) block of states, as evolve buffers them,
+through np.fft along the last axis and row sums, so each row's report is
+bitwise what a block of one gives; a single state is B = 1. The dense
+N x N operators serve the spectrum path and act as oracles;
 they are built per call in O(N^2), with no matrix product and no cache.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -23,12 +27,15 @@ from .errors import (
     InvariantViolationError,
     NumericalConsistencyError,
 )
-from .fourier import circulant_matrix, plan_for
+from .fourier import circulant_matrix
 from .lattice import NormalizedState
 
 HERMITICITY_TOL = 1e-12
 EXPECTATION_IMAG_TOL = 1e-10
 ROBERTSON_SLACK = 1e-9
+# Relative: a report is saturated once product - bound is at most this
+# share of the product, so two spreads of round-off are not saturated
+# merely because their product is tiny.
 SATURATION_WINDOW = 1e-6
 SPECTRUM_RESIDUAL_FACTOR = 1e-8
 # Largest lattice for the dense spectrum path. commutator_spectrum peaks
@@ -192,44 +199,77 @@ def commutator_spectrum(size: int) -> SpectrumResult:
     return SpectrumResult(eigenvalues=eigenvalues, residual=residual)
 
 
-def uncertainty_product_report(state: NormalizedState) -> UncertaintyReport:
-    """Every per-record observable of one state, matrix-free.
+def uncertainty_reports(block: np.ndarray) -> Iterator[UncertaintyReport]:
+    """Every per-record observable of each row of a (B, N) block of states.
 
-    The owner amplitudes A = F Phi give the distributions |Phi|^2 and
-    |A|^2; O Phi = F^-1(k A), and for hermitian P and O the bound
-    |<[P, O]>|/2 is |Im<P Phi, O Phi>|. Raises InvariantViolationError if
-    the product undercuts the bound by more than the numerical slack (a
-    bug signal, the relation holds for every state).
+    Matrix-free and row by row independent of the block: the owner
+    amplitudes A = F Phi come from np.fft along the last axis, and every
+    reduction is an elementwise product summed over that axis, so a row's
+    report is bitwise the same in a block of one. The distributions are
+    |Phi|^2 and |A|^2; O Phi = F^-1(k A), and for hermitian P and O the
+    bound |<[P, O]>|/2 is |Im<P Phi, O Phi>|. Reports are yielded in row
+    order; a row whose product undercuts its bound by more than the
+    numerical slack (a bug signal, the relation holds for every state)
+    raises InvariantViolationError when reached, after the rows before it.
     """
-    size = state.size
-    levels = np.arange(size)
-    owner_amps = plan_for(size, "forward").apply(state.values)
-    prob_price = np.abs(state.values) ** 2
+    prob_price, prob_owner, columns = _block_observables(block)
+    for row, (m_price, m_owner, dp, do, prod, bnd, sat) in enumerate(columns):
+        if prod < bnd - ROBERTSON_SLACK:
+            raise InvariantViolationError(
+                f"uncertainty product {prod!r} undercuts bound {bnd!r}"
+            )
+        yield UncertaintyReport(
+            prob_price=prob_price[row],
+            prob_owner=prob_owner[row],
+            mean_price=m_price,
+            mean_owner=m_owner,
+            delta_price=dp,
+            delta_owner=do,
+            product=prod,
+            bound=bnd,
+            saturated=sat,
+        )
+
+
+def uncertainty_product_report(state: NormalizedState) -> UncertaintyReport:
+    """The observables of one state: ``uncertainty_reports`` on a block of one."""
+    return next(uncertainty_reports(state.values[None, :]))
+
+
+def _block_observables(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, Iterator]:
+    """Both (B, N) distributions and the per-row scalar columns of a block.
+
+    The transforms' intermediates are freed on return, before any report
+    is handed out; products are formed in place where a buffer is done.
+    """
+    levels = np.arange(block.shape[-1])
+    owner_amps = np.fft.fft(block, axis=-1, norm="ortho")
+    prob_price = np.abs(block) ** 2
     prob_owner = np.abs(owner_amps) ** 2
     mean_price, d_price = _moments(levels, prob_price)
     mean_owner, d_owner = _moments(levels, prob_owner)
-    owner_image = plan_for(size, "inverse").apply(levels * owner_amps)
-    bound = abs(float(np.vdot(levels * state.values, owner_image).imag))
+    owner_amps *= levels
+    owner_image = np.fft.ifft(owner_amps, axis=-1, norm="ortho")  # O Phi
+    del owner_amps
+    # Im<P Phi, O Phi> = sum_n n (Re Phi Im O Phi - Im Phi Re O Phi)
+    cross = block.real * owner_image.imag
+    cross -= block.imag * owner_image.real
+    cross *= levels
+    bound = np.abs(cross.sum(axis=-1))
     product = d_price * d_owner
-    if product < bound - ROBERTSON_SLACK:
-        raise InvariantViolationError(
-            f"uncertainty product {product!r} undercuts bound {bound!r}"
-        )
-    return UncertaintyReport(
-        prob_price=prob_price,
-        prob_owner=prob_owner,
-        mean_price=mean_price,
-        mean_owner=mean_owner,
-        delta_price=d_price,
-        delta_owner=d_owner,
-        product=product,
-        bound=bound,
-        saturated=(product - bound) < SATURATION_WINDOW,
+    saturated = product - bound <= SATURATION_WINDOW * product
+    columns = zip(
+        mean_price.tolist(), mean_owner.tolist(), d_price.tolist(), d_owner.tolist(),
+        product.tolist(), bound.tolist(), saturated.tolist(),
     )
+    return prob_price, prob_owner, columns
 
 
-def _moments(levels: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
-    """Mean and spread; the variance is summed about the mean, because
-    <n^2> - <n>^2 cancels to noise for a near-point distribution."""
-    mean = float(np.dot(levels, probs))
-    return mean, float(np.sqrt(np.dot(probs, (levels - mean) ** 2)))
+def _moments(levels: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row means and spreads; the variance is summed about the mean,
+    because <n^2> - <n>^2 cancels to noise for a near-point distribution."""
+    mean = (levels * probs).sum(axis=-1)
+    deviation = levels - mean[:, None]
+    deviation *= deviation
+    deviation *= probs
+    return mean, np.sqrt(deviation.sum(axis=-1))

@@ -201,6 +201,11 @@ def _tagged_doc(spec):
 
 def _parse_state(obj, size):
     state = _parse_tagged(obj, _STATE_TYPES, "state", size, "state")
+    if isinstance(state, GaussianStateSpec):
+        try:
+            ThetaParams(kappa=state.kappa, size=size)
+        except ValueError as exc:
+            raise ScenarioError(f"range violation at state.kappa: {exc}") from None
     if isinstance(state, CustomStateSpec) and not any(state.re + state.im):
         raise ScenarioError("range violation at state: amplitudes are all zero")
     return state

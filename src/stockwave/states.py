@@ -39,6 +39,9 @@ class ThetaParams:
             raise ValueError("kappa must be a positive finite real")
         if self.size < 1:
             raise ValueError("size must be >= 1")
+        # the dual comb takes 1/kappa, the theta series 1/(kappa*N) <= 1/kappa
+        if not math.isfinite(1.0 / self.kappa):
+            raise ValueError(f"kappa {self.kappa!r} is so small that 1/kappa overflows")
 
 
 @dataclass(frozen=True)

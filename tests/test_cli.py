@@ -14,6 +14,8 @@ from stockwave import (
     InvariantViolationError,
     NumericalConsistencyError,
     cli,
+    evolution,
+    operators,
 )
 from stockwave.operators import MAX_LATTICE_SIZE
 
@@ -291,6 +293,92 @@ def test_evolve_overflowing_potential_truncates(tmp_path, capsys):
         assert rows[-1][0] == "TRUNCATED"
 
 
+def failure_doc(steps, potential=None, t0=0.0):
+    potential = potential or {"type": "harmonic", "center": 10.0, "strength": 0.1}
+    return {
+        "N": 21,
+        "state": {"type": "gaussian", "kappa": 1.0, "n0": 10, "k0": 3},
+        "evolution": {"mu": 1.0, "dt": 0.01, "steps": steps, "t0": t0, "potential": potential},
+    }
+
+
+def evolve_records(tmp_path, doc, fmt):
+    """Exit code, the records written (row groups for CSV, parsed for
+    JSON) and whether the output ends in the truncation marker."""
+    doc = {**doc, "output": {"format": fmt, "path": str(tmp_path / f"run.{fmt}")}}
+    code = run_cli(["--quiet", "evolve", "--config", write_config(tmp_path, doc)])
+    if fmt == "json":
+        out = json.loads((tmp_path / "run.json").read_text())
+        return code, out["records"], out.get("truncated", False)
+    _, rows = read_csv(tmp_path / "run.csv")
+    _, srows = read_csv(tmp_path / "run_summary.csv")
+    truncated = rows[-1][0] == "TRUNCATED"
+    assert (srows[-1][0] == "TRUNCATED") == truncated
+    if truncated:
+        rows, srows = rows[:-1], srows[:-1]
+    size = doc["N"]
+    assert len(rows) == size * len(srows)
+    return code, [(rows[i * size:(i + 1) * size], row) for i, row in enumerate(srows)], truncated
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("drift_at", [7, 200])  # at N = 21 a block holds 195 records
+def test_norm_drift_leaves_the_records_before_it(tmp_path, monkeypatch, capsys, fmt, drift_at):
+    doc = failure_doc(steps=250)
+    code, clean, truncated = evolve_records(tmp_path, doc, fmt)
+    assert code == 0 and not truncated
+    segment, calls = evolution._strang_segment, []
+
+    def drifting(*args):
+        calls.append(None)
+        values = segment(*args)
+        return values * 1.01 if len(calls) == drift_at else values
+
+    monkeypatch.setattr(evolution, "_strang_segment", drifting)
+    code, records, truncated = evolve_records(tmp_path, doc, fmt)
+    assert code == 2 and capsys.readouterr().err.startswith("stockwave: norm drifted by")
+    assert truncated and records == clean[:drift_at]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_robertson_violation_leaves_the_records_before_it(tmp_path, monkeypatch, capsys, fmt):
+    doc = failure_doc(steps=30)
+    code, clean, truncated = evolve_records(tmp_path, doc, fmt)
+    assert code == 0 and not truncated
+    moments, violating_row = operators._moments, 12
+
+    def undercut(levels, probs):
+        mean, spread = moments(levels, probs)
+        spread[violating_row] = 0.0  # its product drops to 0, under the bound
+        return mean, spread
+
+    monkeypatch.setattr(operators, "_moments", undercut)
+    code, records, truncated = evolve_records(tmp_path, doc, fmt)
+    assert code == 2 and "undercuts bound" in capsys.readouterr().err
+    assert truncated and records == clean[:violating_row]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.filterwarnings("error")
+def test_potential_overflow_at_a_step_leaves_the_records_before_it(
+    tmp_path, monkeypatch, capsys, fmt
+):
+    # V(n, t) = 1e307 * cos(t) * 10 n starts at cos(pi/2) ~ 6e-17 and first
+    # overflows (at n = 20) at the midpoint of step 10, t0 + 0.095
+    potential = {
+        "type": "modulated",
+        "base": {"type": "linear", "slope": 10.0},
+        "amplitude": 1e307,
+        "omega": 1.0,
+    }
+    doc = failure_doc(steps=30, potential=potential, t0=np.pi / 2)
+    code, records, truncated = evolve_records(tmp_path, doc, fmt)
+    assert code == 2 and "potential is not finite" in capsys.readouterr().err
+    assert truncated and len(records) == 10
+    monkeypatch.setattr(evolution, "RECORD_BLOCK_SIZE", 1)  # one record per block
+    assert evolve_records(tmp_path, doc, fmt) == (code, records, truncated)
+
+
 def test_missing_config_is_io_error(tmp_path, capsys):
     assert run_cli(["state", "--config", str(tmp_path / "nope.json")]) == 3
 
@@ -385,6 +473,20 @@ def test_csv_rows_format_like_format_number(tmp_path):
     ]
     _, srows = read_csv(tmp_path / "rows_summary.csv")
     assert srows == [["4", "0.25"] + ["0"] * 7]
+
+
+def test_csv_rows_span_format_chunks(tmp_path):
+    size = 2 * cli.ROWS_PER_FORMAT + 3
+    values = np.random.default_rng(5).random(size)
+    summary = dict.fromkeys(cli.SUMMARY_FIELDS[:-1], 0.5)
+    report = SimpleNamespace(prob_price=values, prob_owner=values / 3.0, **summary)
+    with cli._CsvSink(str(tmp_path / "rows.csv")) as sink:
+        sink.write_record(7, 1.5, report, 0.0)
+    _, rows = read_csv(tmp_path / "rows.csv")
+    assert rows == [
+        ["7", "1.5", str(n), cli.format_number(p), cli.format_number(p / 3.0)]
+        for n, p in enumerate(values)
+    ]
 
 
 def test_state_write_failure_closes_marked_outputs(tmp_path, monkeypatch, capsys):
@@ -496,6 +598,15 @@ def test_tiny_kappa_state_builds(tmp_path):
     assert run_cli(["--quiet", "state", "--config", write_config(tmp_path, doc)]) == 0
     _, rows = read_csv(tmp_path / "out.csv")
     assert [float(row[3]) for row in rows] == pytest.approx([1.0 / 21.0] * 21, abs=1e-15)
+
+
+def test_subnormal_kappa_exits_1_with_one_line(tmp_path, capsys):
+    doc = {"N": 21, "state": {"type": "gaussian", "kappa": 1e-310, "n0": 3, "k0": 5}}
+    assert run_cli(["uncertainty", "--config", write_config(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("stockwave: range violation at state.kappa")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("size", [1024, 1031])

@@ -282,6 +282,17 @@ def test_report_on_delta():
     assert report.bound == pytest.approx(0.0, abs=1e-12)
 
 
+def test_saturation_window_is_relative_to_the_product():
+    # a point price and a flat owner: product and bound both 0, equality
+    assert uncertainty_product_report(delta_state(6, 21)).saturated
+    # a flat comb: a product of round-off (~1e-14) and a bound several
+    # times smaller, both far below the absolute 1e-6 that once called
+    # them saturated
+    report = uncertainty_product_report(upsilon_state(ThetaParams(1e-14, 21)))
+    assert report.product < 1e-12
+    assert not report.saturated
+
+
 def test_report_random_sweep():
     rng = np.random.default_rng(67)
     for _ in range(100):

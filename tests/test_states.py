@@ -47,6 +47,13 @@ def test_theta3_rejects_nonpositive_t():
         theta3(0.3, -1.0)
 
 
+def test_theta_params_reject_kappa_whose_reciprocal_overflows():
+    for kappa in (1e-310, 5.56e-309):  # subnormal; 1/kappa is inf
+        with pytest.raises(ValueError, match="overflows"):
+            ThetaParams(kappa, 21)
+    assert upsilon_state(ThetaParams(1e-300, 21)).size == 21
+
+
 def test_gamma_matches_theta_route():
     # gamma_kappa(n) = theta3(n/N, 1/(kappa*N)) / sqrt(kappa*N), computed
     # here from the series rather than the translate sum
