@@ -8,12 +8,14 @@ Commands:
     evolve --config FILE       time evolution per the scenario
 
 state and evolve write through one sink, CSV or JSON per the scenario,
-used as a with-block. Each record is written as the evolve iterator
-yields it; that iterator computes records a bounded block at a time, so
-memory stays O(N) whatever the record count. The CSV sink formats a
-record's distribution rows with one % call on a template cached per N
-(one call per ROWS_PER_FORMAT rows on larger lattices).
-An exception that aborts the block ends the partial output in a
+used as a with-block. A sink takes a whole RecordBlock, as
+evolution.record_blocks yields them (state writes a block of one), so
+memory stays O(N) whatever the record count. It converts the block's
+arrays to Python floats with one tolist each and writes record by
+record: the CSV sink formats a record's distribution rows with one %
+call on a template cached per N (one call per ROWS_PER_FORMAT rows on
+larger lattices) and its summary row with one more. An exception that
+aborts the with-block ends the partial output, whole records only, in a
 truncation marker (a TRUNCATED row, or "truncated": true) and closes it;
 every record before the failure is written first.
 
@@ -32,10 +34,18 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import StockwaveError
 from .lattice import norm
-from .operators import MAX_DENSE_SIZE, commutator_spectrum, uncertainty_product_report
-from .evolution import evolve
+from .operators import (
+    MAX_DENSE_SIZE,
+    SUMMARY_COLUMNS,
+    block_observables,
+    commutator_spectrum,
+    uncertainty_product_report,
+)
+from .evolution import RecordBlock, record_blocks
 from .scenario import Scenario, ScenarioError, build_initial_state, parse_scenario
 
 EXIT_OK = 0
@@ -44,8 +54,8 @@ EXIT_NUMERIC = 2
 EXIT_IO = 3
 
 DIST_HEADER = "step,t,n,prob_price,prob_owner"
-SUMMARY_HEADER = "step,t,mean_price,mean_owner,delta_price,delta_owner,product,bound,norm_error"
-SUMMARY_FIELDS = SUMMARY_HEADER.split(",")[2:]
+SUMMARY_FIELDS = [*SUMMARY_COLUMNS, "norm_error"]
+SUMMARY_HEADER = "step,t," + ",".join(SUMMARY_FIELDS)
 TRUNCATION_MARKER = "TRUNCATED"
 
 
@@ -97,9 +107,18 @@ def _dist_templates(size: int) -> tuple:
 _SUMMARY_ROW = "%s" + ",".join(["%.15g"] * len(SUMMARY_FIELDS)) + "\n"
 
 
-def _summary(report, norm_error):
-    """Summary values in SUMMARY_FIELDS order; all but norm_error are the report's."""
-    return [norm_error if key == "norm_error" else getattr(report, key) for key in SUMMARY_FIELDS]
+def _block_rows(block):
+    """(mark, prob_price, prob_owner, summary) per record of a RecordBlock,
+    the values as Python floats from one tolist per array and the summary
+    in SUMMARY_FIELDS order; adding 0.0 folds -0.0 as format_number does."""
+    observables = block.observables
+    summary = np.column_stack((observables.summary, block.norm_errors)) + 0.0
+    return zip(
+        block.marks,
+        (observables.prob_price + 0.0).tolist(),
+        (observables.prob_owner + 0.0).tolist(),
+        summary.tolist(),
+    )
 
 
 class _CsvSink(contextlib.AbstractContextManager):
@@ -123,18 +142,17 @@ class _CsvSink(contextlib.AbstractContextManager):
             self._summary_file.write(SUMMARY_HEADER + "\n")
             self._files = files.pop_all()
 
-    def write_record(self, step: int, t: float, report, norm_error: float):
-        prefix = f"{step},{format_number(t)},"
-        size = len(report.prob_price)
-        fields = [prefix] * (3 * size)
-        # adding 0.0 folds -0.0 as format_number does
-        fields[1::3] = (report.prob_price + 0.0).tolist()
-        fields[2::3] = (report.prob_owner + 0.0).tolist()
-        for start, template in _dist_templates(size):
-            chunk = fields[3 * start:3 * (start + ROWS_PER_FORMAT)]
-            self._dist_file.write(template % tuple(chunk))
-        summary = [value + 0.0 for value in _summary(report, norm_error)]
-        self._summary_file.write(_SUMMARY_ROW % (prefix, *summary))
+    def write_block(self, block):
+        templates = _dist_templates(block.observables.prob_price.shape[-1])
+        for (step, t), prices, owners, summary in _block_rows(block):
+            prefix = f"{step},{format_number(t)},"
+            fields = [prefix] * (3 * len(prices))
+            fields[1::3] = prices
+            fields[2::3] = owners
+            for start, template in templates:
+                chunk = fields[3 * start:3 * (start + ROWS_PER_FORMAT)]
+                self._dist_file.write(template % tuple(chunk))
+            self._summary_file.write(_SUMMARY_ROW % (prefix, *summary))
 
     def __exit__(self, exc_type, exc, tb):
         with self._files:
@@ -161,17 +179,18 @@ class _JsonSink(contextlib.AbstractContextManager):
             self._files = files.pop_all()
         self._empty = True
 
-    def write_record(self, step: int, t: float, report, norm_error: float):
-        record = {
-            "step": step,
-            "t": _rounded(t),
-            "prob_price": [_rounded(p) for p in report.prob_price],
-            "prob_owner": [_rounded(o) for o in report.prob_owner],
-        }
-        record.update(zip(SUMMARY_FIELDS, map(_rounded, _summary(report, norm_error))))
-        text = json.dumps(record, indent=2).replace("\n", "\n    ")
-        self._file.write(("\n    " if self._empty else ",\n    ") + text)
-        self._empty = False
+    def write_block(self, block):
+        for (step, t), prices, owners, summary in _block_rows(block):
+            record = {
+                "step": step,
+                "t": _rounded(t),
+                "prob_price": [_rounded(p) for p in prices],
+                "prob_owner": [_rounded(o) for o in owners],
+            }
+            record.update(zip(SUMMARY_FIELDS, map(_rounded, summary)))
+            text = json.dumps(record, indent=2).replace("\n", "\n    ")
+            self._file.write(("\n    " if self._empty else ",\n    ") + text)
+            self._empty = False
 
     def __exit__(self, exc_type, exc, tb):
         with self._files:
@@ -194,9 +213,14 @@ def _load_scenario(path: str) -> Scenario:
 
 def cmd_state(scenario: Scenario, quiet: bool) -> int:
     state = build_initial_state(scenario)
-    report = uncertainty_product_report(state)
+    observables = block_observables(state.values[None, :])
+    _, violation = observables.robertson_prefix()
+    if violation is not None:
+        raise violation
+    norm_errors = np.array([abs(norm(state.base) - 1.0)])
+    block = RecordBlock([(0, 0.0)], state.values[None, :], norm_errors, observables)
     with _make_sink(scenario) as sink:
-        sink.write_record(0, 0.0, report, abs(norm(state.base) - 1.0))
+        sink.write_block(block)
     if not quiet and scenario.output.path is not None:
         print(f"state: N={scenario.size}, output written to {scenario.output.path}")
     return EXIT_OK
@@ -239,13 +263,13 @@ def cmd_evolve(scenario: Scenario, quiet: bool) -> int:
     count = 0
     max_norm_error = 0.0
     with _make_sink(scenario) as sink:
-        for record in evolve(
+        for block in record_blocks(
             state0, params, scenario.evolution.potential, scenario.output.record_every
         ):
-            sink.write_record(record.step, record.time, record.report, record.norm_error)
-            count += 1
-            max_norm_error = max(max_norm_error, record.norm_error)
-            del record  # the last record of a block keeps the block alive
+            sink.write_block(block)
+            count += len(block)
+            max_norm_error = max(max_norm_error, block.norm_errors.max().item())
+            del block  # freed before the next block is computed
     if not quiet:
         print(f"evolve: {count} records, max norm_error {format_number(max_norm_error)}")
     return EXIT_OK

@@ -19,11 +19,13 @@ F^-1 diag(K) F is a fixed cyclic convolution, built once per run by
 one FFT pair, zero-padded when N has a large prime factor. A segment
 thus costs 2 transforms per step plus 2 per segment (one matrix product
 per step plus one for small N), and no step goes through the owner basis
-and back. Records are taken in blocks: the states of consecutive records
-are buffered into one read-only (B, N) array, whose norm drift is
-checked and whose observables come from the report's np.fft pair along
-the last axis, once per block. Each record views its row, and is bitwise
-what a block of one would give; a failure yields the records before it
+and back. Records are taken in blocks: ``record_blocks`` buffers the
+states of consecutive records into one read-only (B, N) array, checks
+its norm drift and takes its observables (``block_observables``, one
+np.fft pair along the last axis) once per block, and hands the block on
+whole, as the CLI sinks write it. ``evolve`` flattens the blocks into one
+TrajectoryRecord per row, each viewing its row and bitwise what a block
+of one would give. On a failure the records before it are handed on
 first. The oracle's kinetic term F^-1 diag(k^2) F / (2*mu) comes from
 the small-N kick's dense builder, ``fourier.circulant_matrix``. The
 state is never renormalized: norm drift is reported and policed, not
@@ -40,16 +42,29 @@ import numpy as np
 from .errors import ConservationError, DimensionError, NumericalConsistencyError
 from .fourier import circulant, circulant_matrix
 from .lattice import NORM_DRIFT_TOL, LatticeFunction, NormalizedState
-from .operators import LinearOperatorRepr, UncertaintyReport, uncertainty_reports
+from .operators import (
+    BlockObservables,
+    LinearOperatorRepr,
+    UncertaintyReport,
+    block_observables,
+)
 
 PROPAGATOR_UNITARITY_FACTOR = 1e-10
 # Records are taken in blocks of at most this many amplitudes (rows * N,
 # at least one row): 195 records at N = 21, one from N = 4096. It is the
 # largest power of two that keeps memory flat in the record count: a JSON
 # evolve of 500 records at N = 64 (tracemalloc after a warm-up) peaks at
-# 0.41 MB with 2^12, 0.71 MB with 2^13 and 1.12 MB with 2^14, against the
-# 0.55 MB, twice its 50-record peak, that its memory test allows.
+# 0.56 MB with 2^12, 1.00 MB with 2^13 and 1.84 MB with 2^14, against the
+# 0.90 MB, twice its 50-record peak, that its memory test allows.
 RECORD_BLOCK_SIZE = 2**12
+# A block also closes once this many steps have been integrated since the
+# last one closed, so the first record waits at most
+# max(RECORD_BLOCK_STEPS, record_every) + record_every steps. Closing a
+# block early costs one block's fixed work (transform calls, reductions,
+# the sink's conversions): 70-130 us, the time of 5-55 steps at N <= 256
+# (2-core x86-64 VM), so this is the smallest power of two at which that
+# costs under 1% of the integration.
+RECORD_BLOCK_STEPS = 2**13
 
 
 class Potential:
@@ -179,7 +194,14 @@ def _kicks(size: int, dt: float, mu: float) -> tuple[Callable, Callable]:
 
 
 def _potential_phase(potential: Potential, size: int, dt: float, t: float) -> np.ndarray:
-    return np.exp(-1j * dt * _evaluated_potential(potential, size, t))
+    """exp(-i*dt*V(n, t)), written as cos and sin of the real angle -dt*V
+    into one complex array: the values of the complex exp, at less cost."""
+    angle = -dt * _evaluated_potential(potential, size, t)
+    angle += 0.0  # V = 0 gives 1 + 0i, as the complex exp does, not 1 - 0i
+    phase = np.empty(size, np.complex128)
+    np.cos(angle, out=phase.real)
+    np.sin(angle, out=phase.imag)
+    return phase
 
 
 def _strang_segment(values, phases: Iterable[np.ndarray], half_kick, full_kick):
@@ -227,27 +249,73 @@ def _evaluated_potential(potential: Potential, size: int, t: float) -> np.ndarra
     return v
 
 
-def _block_records(block: np.ndarray, marks: list) -> Iterator[TrajectoryRecord]:
-    """The records of a (B, N) block of states taken at (step, time) marks.
+@dataclass(frozen=True, eq=False)
+class RecordBlock:
+    """Consecutive records of one run as arrays: their (step, time) marks,
+    the read-only (B, N) states, the (B,) raw norm errors and the block's
+    observables. ``records`` gives the TrajectoryRecord of each row."""
+
+    marks: list
+    states: np.ndarray
+    norm_errors: np.ndarray
+    observables: BlockObservables
+
+    def __len__(self) -> int:
+        return len(self.marks)
+
+    def records(self) -> Iterator[TrajectoryRecord]:
+        """One record per row, in order; states and reports view the block."""
+        rows = zip(self.states, self.marks, self.norm_errors.tolist(), self.observables.reports())
+        for values, (step, time), norm_error, report in rows:
+            state = NormalizedState._trusted(LatticeFunction._trusted(values))
+            yield TrajectoryRecord(step, time, state, report, norm_error)
+
+
+def _observed(block: np.ndarray, marks: list) -> tuple[RecordBlock, Exception | None]:
+    """The valid prefix of a (B, N) block of states taken at (step, time)
+    marks, and the error of the first invalid row, if any.
 
     Norm drift, and with it finiteness, is checked for the whole block at
-    once, and the observables of the rows before the first drifted one
-    come from one ``uncertainty_reports`` call. Records are yielded in
-    order and view rows of the block, which is made read-only; a drifted
-    row raises ConservationError after the rows before it.
+    once; the observables of the rows before the first drifted one come
+    from one ``block_observables`` call, whose Robertson check may end the
+    prefix earlier. The block is made read-only and the prefix views it.
     """
     block.setflags(write=False)
     norm_errors = np.abs(np.sqrt((block.real ** 2 + block.imag ** 2).sum(axis=-1)) - 1.0)
     drifted = np.flatnonzero(~(norm_errors <= NORM_DRIFT_TOL))  # NaN drifts too
     good = int(drifted[0]) if drifted.size else len(marks)
-    rows = zip(block[:good], marks, norm_errors.tolist(), uncertainty_reports(block[:good]))
-    for values, (step, time), norm_error, report in rows:
-        state = NormalizedState._trusted(LatticeFunction._trusted(values))
-        yield TrajectoryRecord(step, time, state, report, norm_error)
-    if good < len(marks):
-        raise ConservationError(
+    observables = block_observables(block[:good])
+    rows, error = observables.robertson_prefix()
+    if error is None and good < len(marks):
+        error = ConservationError(
             f"norm drifted by {norm_errors[good].item()!r} at t = {marks[good][1]!r}"
         )
+    return RecordBlock(marks[:rows], block[:rows], norm_errors[:rows], observables[:rows]), error
+
+
+def record_blocks(
+    phi0: NormalizedState,
+    params: EvolutionParams,
+    potential: Potential,
+    record_every: int = 1,
+) -> Iterator[RecordBlock]:
+    """Run the Strang integrator, yielding the records in RecordBlocks.
+
+    Records are taken at step 0, every ``record_every`` steps, and at the
+    final step. A block closes when it holds RECORD_BLOCK_SIZE amplitudes
+    (at least one record) or when RECORD_BLOCK_STEPS steps have been
+    integrated since the last block closed, whichever comes first. If a
+    step or a record fails (norm drift beyond the conservation budget, a
+    Robertson violation, a non-finite potential, or any exception from a
+    segment), the records before it are yielded first, as a block that
+    stays valid, and then the error is raised.
+    """
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    # eager shape/finite check; a static potential's phase is reused
+    phase = _potential_phase(potential, phi0.size, params.dt, params.t0)
+    static_phase = None if potential.time_dependent else phase
+    return _record_blocks(phi0, params, potential, record_every, static_phase)
 
 
 def evolve(
@@ -258,26 +326,25 @@ def evolve(
 ) -> Iterator[TrajectoryRecord]:
     """Run the Strang integrator, yielding one record per recorded step.
 
-    Records are emitted at step 0, every ``record_every`` steps, and at
-    the final step, a block of up to RECORD_BLOCK_SIZE amplitudes at a
-    time. Norm drift beyond the conservation budget raises
-    ConservationError at the offending record; every record before it is
-    yielded first and stays valid, whatever fails.
+    The records of ``record_blocks``, one at a time: at step 0, every
+    ``record_every`` steps, and at the final step. Norm drift beyond the
+    conservation budget raises ConservationError at the offending record;
+    every record before it is yielded first and stays valid, whatever
+    fails.
     """
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
-    # eager shape/finite check; a static potential's phase is reused
-    phase = _potential_phase(potential, phi0.size, params.dt, params.t0)
-    static_phase = None if potential.time_dependent else phase
-    return _evolve_iter(phi0, params, potential, record_every, static_phase)
+    blocks = record_blocks(phi0, params, potential, record_every)
+    return (record for block in blocks for record in block.records())
 
 
 def _record(step_time: float, values: np.ndarray, step: int = 0) -> TrajectoryRecord:
-    """One record: ``_block_records`` on a block of one."""
-    return next(_block_records(np.array(values, np.complex128, ndmin=2), [(step, step_time)]))
+    """One record: ``_observed`` on a block of one."""
+    block, error = _observed(np.array(values, np.complex128, ndmin=2), [(step, step_time)])
+    if error is not None:
+        raise error
+    return next(block.records())
 
 
-def _evolve_iter(phi0, params, potential, record_every, static_phase):
+def _record_blocks(phi0, params, potential, record_every, static_phase):
     size, dt = phi0.size, params.dt
     half_kick, full_kick = _kicks(size, dt, params.mu)
 
@@ -298,21 +365,27 @@ def _evolve_iter(phi0, params, potential, record_every, static_phase):
             yield end, params.t0 + end * dt, values
 
     states = recorded_states()
-    remaining = 1 + -(-params.steps // record_every)
+    remaining, closed_at = 1 + -(-params.steps // record_every), 0
     while remaining:
         block = np.empty((min(remaining, max(1, RECORD_BLOCK_SIZE // size)), size), np.complex128)
         marks, failure = [], None
         try:
-            for row, (step, time, values) in zip(range(len(block)), states):
-                block[row] = values
+            for step, time, values in states:
+                block[len(marks)] = values
                 marks.append((step, time))
+                if len(marks) == len(block) or step - closed_at >= RECORD_BLOCK_STEPS:
+                    break
         except Exception as exc:  # raised again below
             failure = exc
-        # the records before a failing step are yielded first, as unblocked
-        yield from _block_records(block[:len(marks)], marks)
-        if failure is not None:
-            raise failure
-        remaining -= len(block)
+        # the records before a failing step or record are yielded first
+        records, error = _observed(block[:len(marks)], marks)
+        if len(records):
+            yield records
+        del records  # freed before the next block is computed
+        if error is not None or failure is not None:
+            raise error or failure
+        remaining -= len(marks)
+        closed_at = marks[-1][0]
 
 
 def static_hamiltonian(

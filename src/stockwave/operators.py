@@ -6,10 +6,12 @@ circulant F^-1 diag(k) F. Their commutator (m - n) O[m, n] is
 anti-hermitian with purely imaginary eigenvalues that cluster near
 i*N/(2*pi) for large N.
 
-The observables report is matrix-free, O(N) memory and O(N log N) work
-per state. It takes a (B, N) block of states, as evolve buffers them,
-through np.fft along the last axis and row sums, so each row's report is
-bitwise what a block of one gives; a single state is B = 1. The dense
+The observables are matrix-free, O(N) memory and O(N log N) work per
+state. ``block_observables`` takes a (B, N) block of states, as evolve
+buffers them, through np.fft along the last axis and row sums, and
+returns them as arrays: both (B, N) distributions and the per-row scalar
+columns. Each row is bitwise what a block of one gives; a single state is
+B = 1, and an UncertaintyReport is a view of one row. The dense
 N x N operators serve the spectrum path and act as oracles;
 they are built per call in O(N^2), with no matrix product and no cache.
 """
@@ -37,6 +39,8 @@ ROBERTSON_SLACK = 1e-9
 # share of the product, so two spreads of round-off are not saturated
 # merely because their product is tiny.
 SATURATION_WINDOW = 1e-6
+# The scalar columns of a block's observables, in UncertaintyReport order.
+SUMMARY_COLUMNS = ("mean_price", "mean_owner", "delta_price", "delta_owner", "product", "bound")
 SPECTRUM_RESIDUAL_FACTOR = 1e-8
 # Largest lattice for the dense spectrum path. commutator_spectrum peaks
 # at about seven live N x N complex matrices (tracemalloc after a warm-up,
@@ -45,9 +49,12 @@ SPECTRUM_RESIDUAL_FACTOR = 1e-8
 MAX_DENSE_SIZE = 2048
 # Largest lattice for a scenario; state, uncertainty and evolve are O(N).
 # Their CLI peak (tracemalloc after a warm-up, N in {1024, 1031, 4099,
-# 16411}, primes zero-padded) is at most ~560 B per level, for a JSON
-# evolve of a custom state under a modulated tabulated trap (a comb at
-# kappa*N = 1: ~500 B): 560 B * 2^20 = 560 MiB of the same 1 GiB budget.
+# 16411}, primes zero-padded) is largest for a JSON evolve of a custom
+# state under a modulated tabulated trap (a comb at kappa*N = 1: ~70 B
+# less): ~600 B per level from N = 4099, where a record block holds one
+# record, and ~890 B at N = 1031, where it holds three and the sink's
+# lists of a block (at most 2^12 amplitudes) weigh more per level.
+# 600 B * 2^20 = 600 MiB of the same 1 GiB budget.
 MAX_LATTICE_SIZE = 2**20
 
 
@@ -104,6 +111,52 @@ class UncertaintyReport:
     product: float
     bound: float
     saturated: bool
+
+
+@dataclass(frozen=True, eq=False)
+class BlockObservables:
+    """The observables of a (B, N) block of states, one row per state: both
+    (B, N) distributions, the (B, 6) scalar columns in SUMMARY_COLUMNS
+    order and the (B,) saturation flags. Row r is what
+    ``uncertainty_product_report`` gives for state r."""
+
+    prob_price: np.ndarray
+    prob_owner: np.ndarray
+    summary: np.ndarray
+    saturated: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.summary)
+
+    def __getitem__(self, rows: slice) -> "BlockObservables":
+        return BlockObservables(
+            self.prob_price[rows], self.prob_owner[rows], self.summary[rows], self.saturated[rows]
+        )
+
+    def robertson_prefix(self) -> tuple[int, InvariantViolationError | None]:
+        """The rows before the first whose product undercuts its bound by
+        more than the numerical slack, and that row's error; all rows and
+        None when none does. The relation holds for every state, so an
+        undercut is a bug signal."""
+        product, bound = self.summary[:, 4], self.summary[:, 5]  # SUMMARY_COLUMNS order
+        undercut = np.flatnonzero(product < bound - ROBERTSON_SLACK)
+        if not undercut.size:
+            return len(self), None
+        row = int(undercut[0])
+        return row, InvariantViolationError(
+            f"uncertainty product {product[row].item()!r} undercuts bound {bound[row].item()!r}"
+        )
+
+    def reports(self) -> Iterator[UncertaintyReport]:
+        """One UncertaintyReport per row, in order, viewing the row's
+        distributions; a row that undercuts its bound raises
+        InvariantViolationError when reached, after the rows before it."""
+        rows, violation = self.robertson_prefix()
+        columns = zip(self.summary[:rows].tolist(), self.saturated[:rows].tolist())
+        for row, (scalars, saturated) in enumerate(columns):
+            yield UncertaintyReport(self.prob_price[row], self.prob_owner[row], *scalars, saturated)
+        if violation is not None:
+            raise violation
 
 
 def price_operator(size: int) -> LinearOperatorRepr:
@@ -199,48 +252,17 @@ def commutator_spectrum(size: int) -> SpectrumResult:
     return SpectrumResult(eigenvalues=eigenvalues, residual=residual)
 
 
-def uncertainty_reports(block: np.ndarray) -> Iterator[UncertaintyReport]:
+def block_observables(block: np.ndarray) -> BlockObservables:
     """Every per-record observable of each row of a (B, N) block of states.
 
     Matrix-free and row by row independent of the block: the owner
     amplitudes A = F Phi come from np.fft along the last axis, and every
     reduction is an elementwise product summed over that axis, so a row's
-    report is bitwise the same in a block of one. The distributions are
-    |Phi|^2 and |A|^2; O Phi = F^-1(k A), and for hermitian P and O the
-    bound |<[P, O]>|/2 is |Im<P Phi, O Phi>|. Reports are yielded in row
-    order; a row whose product undercuts its bound by more than the
-    numerical slack (a bug signal, the relation holds for every state)
-    raises InvariantViolationError when reached, after the rows before it.
-    """
-    prob_price, prob_owner, columns = _block_observables(block)
-    for row, (m_price, m_owner, dp, do, prod, bnd, sat) in enumerate(columns):
-        if prod < bnd - ROBERTSON_SLACK:
-            raise InvariantViolationError(
-                f"uncertainty product {prod!r} undercuts bound {bnd!r}"
-            )
-        yield UncertaintyReport(
-            prob_price=prob_price[row],
-            prob_owner=prob_owner[row],
-            mean_price=m_price,
-            mean_owner=m_owner,
-            delta_price=dp,
-            delta_owner=do,
-            product=prod,
-            bound=bnd,
-            saturated=sat,
-        )
-
-
-def uncertainty_product_report(state: NormalizedState) -> UncertaintyReport:
-    """The observables of one state: ``uncertainty_reports`` on a block of one."""
-    return next(uncertainty_reports(state.values[None, :]))
-
-
-def _block_observables(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, Iterator]:
-    """Both (B, N) distributions and the per-row scalar columns of a block.
-
-    The transforms' intermediates are freed on return, before any report
-    is handed out; products are formed in place where a buffer is done.
+    observables are bitwise the same in a block of one. The distributions
+    are |Phi|^2 and |A|^2; O Phi = F^-1(k A), and for hermitian P and O the
+    bound |<[P, O]>|/2 is |Im<P Phi, O Phi>|. The transforms'
+    intermediates are freed on return; products are formed in place where
+    a buffer is done. Nothing is checked here: see ``robertson_prefix``.
     """
     levels = np.arange(block.shape[-1])
     owner_amps = np.fft.fft(block, axis=-1, norm="ortho")
@@ -258,11 +280,13 @@ def _block_observables(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, Itera
     bound = np.abs(cross.sum(axis=-1))
     product = d_price * d_owner
     saturated = product - bound <= SATURATION_WINDOW * product
-    columns = zip(
-        mean_price.tolist(), mean_owner.tolist(), d_price.tolist(), d_owner.tolist(),
-        product.tolist(), bound.tolist(), saturated.tolist(),
-    )
-    return prob_price, prob_owner, columns
+    summary = np.column_stack((mean_price, mean_owner, d_price, d_owner, product, bound))
+    return BlockObservables(prob_price, prob_owner, summary, saturated)
+
+
+def uncertainty_product_report(state: NormalizedState) -> UncertaintyReport:
+    """The observables of one state: the report of a block of one."""
+    return next(block_observables(state.values[None, :]).reports())
 
 
 def _moments(levels: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,11 +2,14 @@ import builtins
 import json
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stockwave import (
     ConservationError,
@@ -15,9 +18,12 @@ from stockwave import (
     NumericalConsistencyError,
     cli,
     evolution,
+    evolve,
     operators,
 )
 from stockwave.operators import MAX_LATTICE_SIZE
+from stockwave.scenario import build_initial_state, parse_scenario
+from helpers import primes_to
 
 
 def run_cli(args):
@@ -201,13 +207,14 @@ def test_evolve_truncation_marker(tmp_path, monkeypatch, capsys, error):
     }
     config = write_config(tmp_path, doc)
 
-    def failing_evolve(phi0, params, potential, record_every=1):
-        from stockwave.evolution import evolve as lib_evolve
+    def failing_blocks(phi0, params, potential, record_every=1):
+        from stockwave.evolution import record_blocks
 
-        yield next(lib_evolve(phi0, params, potential, record_every))
+        yield next(record_blocks(phi0, params, potential, record_every))
         raise error("synthetic failure")
 
-    monkeypatch.setattr(cli, "evolve", failing_evolve)
+    monkeypatch.setattr(evolution, "RECORD_BLOCK_SIZE", 1)  # one record per block
+    monkeypatch.setattr(cli, "record_blocks", failing_blocks)
     assert run_cli(["--quiet", "evolve", "--config", config]) == 2
     assert capsys.readouterr().err == "stockwave: synthetic failure\n"
     header, rows = read_csv(tmp_path / "run.csv")
@@ -225,16 +232,7 @@ def test_evolve_io_failure_closes_marked_outputs(tmp_path, monkeypatch, capsys):
         "output": {"format": "csv", "path": str(tmp_path / "run.csv")},
     }
     config = write_config(tmp_path, doc)
-    sinks = []
-    write_record = cli._CsvSink.write_record
-
-    def failing_write(self, *args):
-        sinks.append(self)
-        if len(sinks) > 2:
-            raise OSError("synthetic write failure")
-        write_record(self, *args)
-
-    monkeypatch.setattr(cli._CsvSink, "write_record", failing_write)
+    sinks = fail_record_write(monkeypatch, cli._CsvSink, "_dist_file", 3)
     assert run_cli(["--quiet", "evolve", "--config", config]) == 3
     assert capsys.readouterr().err == "stockwave: synthetic write failure\n"
     assert sinks[0]._dist_file.closed and sinks[0]._summary_file.closed
@@ -242,6 +240,111 @@ def test_evolve_io_failure_closes_marked_outputs(tmp_path, monkeypatch, capsys):
     assert len(rows) == 2 * 4 + 1 and rows[-1][0] == "TRUNCATED"
     _, srows = read_csv(tmp_path / "run_summary.csv")
     assert len(srows) == 2 + 1 and srows[-1][0] == "TRUNCATED"
+
+
+def reference_output(doc):
+    """The outputs of an evolve scenario, written record by record from
+    the library's evolve iterator: CSV rows of format_number values, or
+    the whole document through json.dumps(doc, indent=2)."""
+    scenario = parse_scenario(json.dumps(doc).encode())
+    records = evolve(
+        build_initial_state(scenario),
+        scenario.evolution.params,
+        scenario.evolution.potential,
+        scenario.output.record_every,
+    )
+    rows, summary, documents = [cli.DIST_HEADER], [cli.SUMMARY_HEADER], []
+    for record in records:
+        report, fmt = record.report, cli.format_number
+        head = f"{record.step},{fmt(record.time)}"
+        rows += [
+            f"{head},{n},{fmt(p)},{fmt(o)}"
+            for n, (p, o) in enumerate(zip(report.prob_price, report.prob_owner))
+        ]
+        values = [getattr(report, f) for f in cli.SUMMARY_FIELDS[:-1]] + [record.norm_error]
+        summary.append(",".join([head, *map(fmt, values)]))
+        documents.append({
+            "step": record.step,
+            "t": float(fmt(record.time)),
+            "prob_price": [float(fmt(p)) for p in report.prob_price],
+            "prob_owner": [float(fmt(o)) for o in report.prob_owner],
+            **{f: float(fmt(v)) for f, v in zip(cli.SUMMARY_FIELDS, values)},
+        })
+    if doc["output"]["format"] == "json":
+        return [json.dumps({"n": doc["N"], "records": documents}, indent=2) + "\n"]
+    return ["\n".join(rows) + "\n", "\n".join(summary) + "\n"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    size=st.one_of(st.integers(1, 300), st.sampled_from(primes_to(300))),
+    steps=st.integers(1, 40),
+    record_every=st.integers(1, 4),
+    fmt=st.sampled_from(["csv", "json"]),
+    kappa=st.floats(0.3, 3.0),
+)
+def test_block_sinks_write_what_each_record_writes(size, steps, record_every, fmt, kappa):
+    # at N = 300 a block holds 13 records, so longer runs span several
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / f"run.{fmt}"
+        doc = {
+            "N": size,
+            "state": {"type": "gaussian", "kappa": kappa, "n0": size // 3, "k0": size // 2},
+            "evolution": {
+                "mu": 1.0,
+                "dt": 1e-3,
+                "steps": steps,
+                "potential": {
+                    "type": "modulated",
+                    "base": {"type": "harmonic", "center": size / 2.0, "strength": 4.0 / size},
+                    "amplitude": 1.5,
+                    "omega": 3.0,
+                },
+            },
+            "output": {"format": fmt, "path": str(out), "record_every": record_every},
+        }
+        config = write_config(Path(tmp), doc)
+        assert run_cli(["--quiet", "evolve", "--config", config]) == 0
+        paths = [out] if fmt == "json" else [out, out.with_name("run_summary.csv")]
+        assert [path.read_text() for path in paths] == reference_output(doc)
+
+
+def fail_record_write(monkeypatch, sink_class, file_attr, failing):
+    """Make the given write of a record to each sink's file raise OSError
+    (the header, written on opening, is not counted); return the sinks."""
+    sinks, write_block = [], sink_class.write_block
+
+    def write_failing_block(self, block):
+        if self not in sinks:
+            sinks.append(self)
+            file, calls = getattr(self, file_attr), []
+            write = file.write
+
+            def failing_write(text):
+                calls.append(text)
+                if len(calls) == failing:
+                    raise OSError("synthetic write failure")
+                return write(text)
+
+            file.write = failing_write
+        write_block(self, block)
+
+    monkeypatch.setattr(sink_class, "write_block", write_failing_block)
+    return sinks
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_evolve_io_failure_in_the_second_block_keeps_whole_records(
+    tmp_path, monkeypatch, capsys, fmt
+):
+    doc = failure_doc(steps=250)  # at N = 21 a block holds 195 records
+    code, clean, truncated = evolve_records(tmp_path, doc, fmt)
+    assert code == 0 and not truncated
+    sink_class, file_attr = {"csv": (cli._CsvSink, "_dist_file"), "json": (cli._JsonSink, "_file")}[fmt]
+    fail_record_write(monkeypatch, sink_class, file_attr, 201)
+    code, records, truncated = evolve_records(tmp_path, doc, fmt)
+    assert code == 3 and capsys.readouterr().err == "stockwave: synthetic write failure\n"
+    assert truncated and records == clean[:200]
 
 
 @pytest.mark.parametrize("command", ["state", "uncertainty", "evolve"])
@@ -458,14 +561,26 @@ def test_evolve_step_labels_at_large_t0(tmp_path):
     assert [row[0] for row in rows] == [str(step) for step in range(7) for _ in range(8)]
 
 
+def one_record_block(step, t, prob_price, prob_owner, summary, norm_error):
+    """A RecordBlock-shaped block of one record with every summary column
+    (but norm_error) set to ``summary``."""
+    observables = SimpleNamespace(
+        prob_price=prob_price[None, :],
+        prob_owner=prob_owner[None, :],
+        summary=np.full((1, len(cli.SUMMARY_FIELDS) - 1), summary),
+    )
+    return SimpleNamespace(
+        marks=[(step, t)], norm_errors=np.array([norm_error]), observables=observables
+    )
+
+
 def test_csv_rows_format_like_format_number(tmp_path):
     values = np.array(
         [0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-5, 1e-20, 0.1, 1.0 / 3.0]
     )
-    summary = dict.fromkeys(cli.SUMMARY_FIELDS[:-1], -0.0)
-    report = SimpleNamespace(prob_price=values, prob_owner=-values, **summary)
+    block = one_record_block(4, 0.25, values, -values, -0.0, -0.0)
     with cli._CsvSink(str(tmp_path / "rows.csv")) as sink:
-        sink.write_record(4, 0.25, report, -0.0)
+        sink.write_block(block)
     _, rows = read_csv(tmp_path / "rows.csv")
     assert rows == [
         ["4", "0.25", str(n), cli.format_number(p), cli.format_number(-p)]
@@ -478,10 +593,9 @@ def test_csv_rows_format_like_format_number(tmp_path):
 def test_csv_rows_span_format_chunks(tmp_path):
     size = 2 * cli.ROWS_PER_FORMAT + 3
     values = np.random.default_rng(5).random(size)
-    summary = dict.fromkeys(cli.SUMMARY_FIELDS[:-1], 0.5)
-    report = SimpleNamespace(prob_price=values, prob_owner=values / 3.0, **summary)
+    block = one_record_block(7, 1.5, values, values / 3.0, 0.5, 0.0)
     with cli._CsvSink(str(tmp_path / "rows.csv")) as sink:
-        sink.write_record(7, 1.5, report, 0.0)
+        sink.write_block(block)
     _, rows = read_csv(tmp_path / "rows.csv")
     assert rows == [
         ["7", "1.5", str(n), cli.format_number(p), cli.format_number(p / 3.0)]
@@ -497,7 +611,7 @@ def test_state_write_failure_closes_marked_outputs(tmp_path, monkeypatch, capsys
         sinks.append(self)
         raise OSError("synthetic write failure")
 
-    monkeypatch.setattr(cli._CsvSink, "write_record", failing_write)
+    monkeypatch.setattr(cli._CsvSink, "write_block", failing_write)
     assert run_cli(["--quiet", "state", "--config", config]) == 3
     assert capsys.readouterr().err == "stockwave: synthetic write failure\n"
     assert sinks[0]._dist_file.closed and sinks[0]._summary_file.closed
@@ -557,16 +671,7 @@ def test_json_failure_leaves_parseable_truncated_document(
         "output": {"format": "json", "path": str(tmp_path / "run.json")},
     }
     config = write_config(tmp_path, doc)
-    calls = []
-    write_record = cli._JsonSink.write_record
-
-    def failing_write(self, *args):
-        calls.append(self)
-        if len(calls) > written:
-            raise OSError("synthetic write failure")
-        write_record(self, *args)
-
-    monkeypatch.setattr(cli._JsonSink, "write_record", failing_write)
+    fail_record_write(monkeypatch, cli._JsonSink, "_file", written + 1)
     assert run_cli(["--quiet", command, "--config", config]) == 3
     text = (tmp_path / "run.json").read_text()
     data = json.loads(text)

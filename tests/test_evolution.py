@@ -350,6 +350,46 @@ def test_record_flags_norm_drift():
         _record(0.0, bad)
 
 
+@pytest.mark.parametrize("record_every", [1, 1000, 10_000])
+def test_first_record_arrives_within_the_step_budget(monkeypatch, record_every):
+    # at N = 21 a full block holds 195 records, the whole run of 100000
+    # steps when records are 10000 steps apart
+    segment, integrated = evolution._strang_segment, []
+
+    def counting(values, phases, *kicks):
+        phases = list(phases)
+        integrated.append(len(phases))
+        return segment(values, phases, *kicks)
+
+    monkeypatch.setattr(evolution, "_strang_segment", counting)
+    params = EvolutionParams(mu=1.0, dt=1e-3, steps=100_000)
+    records = evolve(fig2_packet(), params, HarmonicPotential(10.0, 0.1), record_every)
+    assert next(records).step == 0
+    budget = max(evolution.RECORD_BLOCK_STEPS, record_every)
+    assert sum(integrated) < budget + record_every  # 2 * record_every from the budget up
+
+
+@pytest.mark.parametrize("size, steps, record_every, shape", [
+    (21, 500, 1, [195, 195, 111]),  # the stream-n21 benchmark workload
+    (1031, 100, 100, [2]),  # evolve-prime
+])
+def test_benchmark_block_shapes(size, steps, record_every, shape):
+    phi0 = gaussian_packet(PacketParams(ThetaParams(1.0, size), size // 3, 2))
+    params = EvolutionParams(mu=1.0, dt=1e-4, steps=steps)
+    blocks = evolution.record_blocks(phi0, params, _modulated_trap(size), record_every)
+    assert [len(block) for block in blocks] == shape
+
+
+@pytest.mark.parametrize("dt", [1e-4, 1.5e-4, 0.01, 1.0, -0.3])
+def test_potential_phase_matches_complex_exp(dt):
+    rng = np.random.default_rng(17)
+    values = np.concatenate([rng.uniform(-1e4, 1e4, 5000), rng.normal(size=5000), [0.0, -0.0]])
+    potential = TabulatedPotential(tuple(values))
+    phase = _potential_phase(potential, values.size, dt, 0.0)
+    assert np.max(np.abs(phase - np.exp(-1j * dt * values))) <= 1e-15
+    assert np.max(np.abs(np.abs(phase) - 1.0)) <= 1e-15
+
+
 def test_exact_propagator_zero_duration():
     prop = exact_propagator(13, 1.0, HarmonicPotential(6.0, 0.4), 0.0, 0.0)
     assert np.max(np.abs(prop.matrix - np.eye(13))) < 1e-12
