@@ -30,6 +30,12 @@ first. The oracle's kinetic term F^-1 diag(k^2) F / (2*mu) comes from
 the small-N kick's dense builder, ``fourier.circulant_matrix``. The
 state is never renormalized: norm drift is reported and policed, not
 hidden.
+
+A potential is a static profile times scalar factors, innermost first
+(``Potential.profile`` and ``Potential.scales``). ``_phases`` evaluates
+and checks the profile once per run; a step multiplies the factors in,
+checking one scalar each, or reuses the last phase while they repeat,
+as a static potential's always do.
 """
 from __future__ import annotations
 
@@ -68,18 +74,30 @@ RECORD_BLOCK_STEPS = 2**13
 
 
 class Potential:
-    """Real, price-diagonal interaction term V(n, t)."""
+    """Real, price-diagonal V(n, t) = s_k(t) * ... * s_1(t) * profile(n). A kind
+    defines ``profile`` and, if V varies in time, ``scales(t)``: (s_1, ..., s_k)."""
 
-    time_dependent = False
+    def profile(self, n: np.ndarray) -> np.ndarray:
+        raise NotImplementedError(f"{type(self).__name__} defines no profile")
+
+    def scales(self, t: float) -> tuple:
+        return ()
 
     def evaluate(self, n: np.ndarray, t: float) -> np.ndarray:
-        raise NotImplementedError
+        return _scaled(self.profile(n), self.scales(t))
+
+
+def _scaled(values, scales):
+    """s_k * (... (s_1 * values)), the one order every caller multiplies in."""
+    for scale in scales:
+        values = scale * values
+    return values
 
 
 @dataclass(frozen=True)
 class ZeroPotential(Potential):
 
-    def evaluate(self, n, t):
+    def profile(self, n):
         return np.zeros(np.shape(n), dtype=np.float64)
 
 
@@ -94,7 +112,7 @@ class HarmonicPotential(Potential):
         if not (math.isfinite(self.center) and math.isfinite(self.strength)):
             raise ValueError("harmonic parameters must be finite")
 
-    def evaluate(self, n, t):
+    def profile(self, n):
         return 0.5 * self.strength * (np.asarray(n, dtype=np.float64) - self.center) ** 2
 
 
@@ -108,7 +126,7 @@ class LinearPotential(Potential):
         if not math.isfinite(self.slope):
             raise ValueError("slope must be finite")
 
-    def evaluate(self, n, t):
+    def profile(self, n):
         return self.slope * np.asarray(n, dtype=np.float64)
 
 
@@ -124,7 +142,7 @@ class TabulatedPotential(Potential):
             raise ValueError("tabulated values must be a non-empty finite sequence")
         object.__setattr__(self, "values", vals)
 
-    def evaluate(self, n, t):
+    def profile(self, n):
         n = np.asarray(n)
         if len(self.values) != n.size:
             raise DimensionError(
@@ -140,14 +158,18 @@ class ModulatedPotential(Potential):
     base: Potential
     amplitude: float
     omega: float
-    time_dependent = True
 
     def __post_init__(self):
         if not (math.isfinite(self.amplitude) and math.isfinite(self.omega)):
             raise ValueError("modulation parameters must be finite")
 
-    def evaluate(self, n, t):
-        return self.amplitude * math.cos(self.omega * t) * self.base.evaluate(n, t)
+    def profile(self, n):
+        return self.base.profile(n)
+
+    def scales(self, t):
+        if not math.isfinite(self.omega * t):  # math.cos would raise a bare ValueError
+            raise NumericalConsistencyError(f"potential is not finite at t = {t!r}")
+        return (*self.base.scales(t), self.amplitude * math.cos(self.omega * t))
 
 
 @dataclass(frozen=True)
@@ -193,15 +215,36 @@ def _kicks(size: int, dt: float, mu: float) -> tuple[Callable, Callable]:
     return _kick(size, dt / 2.0, mu), _kick(size, dt, mu)
 
 
-def _potential_phase(potential: Potential, size: int, dt: float, t: float) -> np.ndarray:
-    """exp(-i*dt*V(n, t)), written as cos and sin of the real angle -dt*V
-    into one complex array: the values of the complex exp, at less cost."""
-    angle = -dt * _evaluated_potential(potential, size, t)
-    angle += 0.0  # V = 0 gives 1 + 0i, as the complex exp does, not 1 - 0i
-    phase = np.empty(size, np.complex128)
-    np.cos(angle, out=phase.real)
-    np.sin(angle, out=phase.imag)
+def _phases(potential: Potential, size: int, dt: float) -> Callable[[float], np.ndarray]:
+    """t -> exp(-i*dt*V(n, t)) as cos and sin of the real angle, the complex
+    exp's values at less cost. One scalar check for V and one for the angle
+    are exact: rounding is monotonic, so |s| * max|v| overflows exactly when
+    some s * v[n] does."""
+    profile = _checked(potential.profile, size)
+    peak, last = float(np.abs(profile).max()), [None, None]  # last scales, phase
+
+    def phase(t: float) -> np.ndarray:
+        scales = potential.scales(t)
+        if scales != last[0]:
+            bound = math.prod(map(abs, scales), start=peak)
+            if not math.isfinite(bound):
+                raise NumericalConsistencyError(f"potential is not finite at t = {t!r}")
+            if not math.isfinite(dt * bound):
+                raise NumericalConsistencyError(f"potential phase is not finite at t = {t!r}")
+            angle = -dt * _scaled(profile, scales)
+            angle += 0.0  # V = 0 gives 1 + 0i, as the complex exp does, not 1 - 0i
+            out = np.empty(size, np.complex128)
+            np.cos(angle, out=out.real)
+            np.sin(angle, out=out.imag)
+            out.setflags(write=False)  # shared by the steps that reuse it
+            last[:] = scales, out
+        return last[1]
+
     return phase
+
+
+def _potential_phase(potential: Potential, size: int, dt: float, t: float) -> np.ndarray:
+    return _phases(potential, size, dt)(t)
 
 
 def _strang_segment(values, phases: Iterable[np.ndarray], half_kick, full_kick):
@@ -239,13 +282,14 @@ def strang_step(phi, t: float, params: EvolutionParams, potential: Potential) ->
     return LatticeFunction(_strang_segment(phi.values, (phase,), half_kick, half_kick))
 
 
-def _evaluated_potential(potential: Potential, size: int, t: float) -> np.ndarray:
+def _checked(values_at: Callable, size: int, where: str = "") -> np.ndarray:
+    """values_at(np.arange(size)) as float64, its shape and finiteness checked."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        v = np.asarray(potential.evaluate(np.arange(size), t), dtype=np.float64)
+        v = np.asarray(values_at(np.arange(size)), dtype=np.float64)
     if v.shape != (size,):
         raise DimensionError(f"potential produced shape {v.shape} for size {size}")
     if not np.all(np.isfinite(v)):
-        raise NumericalConsistencyError(f"potential is not finite at t = {t!r}")
+        raise NumericalConsistencyError(f"potential is not finite{where}")
     return v
 
 
@@ -312,10 +356,8 @@ def record_blocks(
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    # eager shape/finite check; a static potential's phase is reused
-    phase = _potential_phase(potential, phi0.size, params.dt, params.t0)
-    static_phase = None if potential.time_dependent else phase
-    return _record_blocks(phi0, params, potential, record_every, static_phase)
+    phase = _phases(potential, phi0.size, params.dt)  # checks the profile, eagerly
+    return _record_blocks(phi0, params, phase, record_every)
 
 
 def evolve(
@@ -344,25 +386,19 @@ def _record(step_time: float, values: np.ndarray, step: int = 0) -> TrajectoryRe
     return next(block.records())
 
 
-def _record_blocks(phi0, params, potential, record_every, static_phase):
-    size, dt = phi0.size, params.dt
+def _record_blocks(phi0, params, phase, record_every):
+    size, t0, dt = phi0.size, params.t0, params.dt
     half_kick, full_kick = _kicks(size, dt, params.mu)
-
-    def phase(step):
-        """exp(-i*dt*V) at the midpoint of the given step, evaluated when asked."""
-        if static_phase is not None:
-            return static_phase
-        return _potential_phase(potential, size, dt, params.t0 + (step - 1) * dt + dt / 2.0)
 
     def recorded_states():
         """(step, time, amplitudes) at each record, integrating on demand."""
         values = phi0.values
-        yield 0, params.t0, values
+        yield 0, t0, values
         for start in range(0, params.steps, record_every):
             end = min(start + record_every, params.steps)
-            phases = map(phase, range(start + 1, end + 1))
-            values = _strang_segment(values, phases, half_kick, full_kick)
-            yield end, params.t0 + end * dt, values
+            midpoints = (t0 + (step - 1) * dt + dt / 2.0 for step in range(start + 1, end + 1))
+            values = _strang_segment(values, map(phase, midpoints), half_kick, full_kick)
+            yield end, t0 + end * dt, values
 
     states = recorded_states()
     remaining, closed_at = 1 + -(-params.steps // record_every), 0
@@ -395,9 +431,8 @@ def static_hamiltonian(
     if not (mu > 0.0):
         raise ValueError("mu must be positive")
     k = np.arange(size, dtype=np.float64)
-    h = circulant_matrix(k * k) / (2.0 * mu) + np.diag(
-        _evaluated_potential(potential, size, t_snapshot).astype(np.complex128)
-    )
+    v = _checked(lambda n: potential.evaluate(n, t_snapshot), size, f" at t = {t_snapshot!r}")
+    h = circulant_matrix(k * k) / (2.0 * mu) + np.diag(v.astype(np.complex128))
     return LinearOperatorRepr((h + h.conj().T) / 2.0)
 
 

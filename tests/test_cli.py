@@ -482,6 +482,27 @@ def test_potential_overflow_at_a_step_leaves_the_records_before_it(
     assert evolve_records(tmp_path, doc, fmt) == (code, records, truncated)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("overflow, message", [
+    # omega * t overflows, so cos(omega * t) has no value
+    ({"t0": 1e200, "potential": {
+        "type": "modulated", "amplitude": 1.0, "omega": 1e200,
+        "base": {"type": "harmonic", "center": 10.0, "strength": 0.1},
+    }}, "potential is not finite at t = 1e+200"),
+    # V is finite, dt * V is not
+    ({"dt": 1e10, "potential": {"type": "harmonic", "center": 10.0, "strength": 1e300}},
+     "potential phase is not finite at t = 5000000000.0"),
+], ids=["omega-t", "angle"])
+@pytest.mark.filterwarnings("error")
+def test_evolve_overflow_in_a_step_exits_with_one_line(tmp_path, capsys, fmt, overflow, message):
+    doc = failure_doc(steps=5)
+    doc["evolution"].update(overflow)
+    code, records, truncated = evolve_records(tmp_path, doc, fmt)
+    err = capsys.readouterr().err
+    assert code == 2 and err == f"stockwave: {message}\n"
+    assert truncated and len(records) == 1  # step 0 needs no potential
+
+
 def test_missing_config_is_io_error(tmp_path, capsys):
     assert run_cli(["state", "--config", str(tmp_path / "nope.json")]) == 3
 

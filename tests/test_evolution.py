@@ -12,7 +12,9 @@ from stockwave import (
     LatticeFunction,
     LinearPotential,
     ModulatedPotential,
+    NumericalConsistencyError,
     PacketParams,
+    Potential,
     TabulatedPotential,
     ThetaParams,
     ZeroPotential,
@@ -32,7 +34,7 @@ from stockwave import (
     strang_step,
 )
 from stockwave import evolution
-from stockwave.evolution import _kicks, _potential_phase, _record, _strang_segment
+from stockwave.evolution import _kicks, _phases, _potential_phase, _record, _strang_segment
 from helpers import primes_to, random_lattice_function
 
 
@@ -390,6 +392,119 @@ def test_potential_phase_matches_complex_exp(dt):
     assert np.max(np.abs(np.abs(phase) - 1.0)) <= 1e-15
 
 
+# moderate values, and values up to 1e308 whose products may overflow
+_MAGNITUDES = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0), st.integers(0, 308)),
+)
+
+
+@st.composite
+def _potentials(draw, size):
+    """Every base kind under a chain of 0-3 modulations."""
+    kind = draw(st.sampled_from(["zero", "harmonic", "linear", "tabulated"]))
+    if kind == "zero":
+        potential = ZeroPotential()
+    elif kind == "harmonic":
+        potential = HarmonicPotential(draw(st.floats(-1e3, 1e3)), draw(_MAGNITUDES))
+    elif kind == "linear":
+        potential = LinearPotential(draw(_MAGNITUDES))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        potential = TabulatedPotential(tuple(rng.uniform(-1.0, 1.0, size) * draw(_MAGNITUDES)))
+    for _ in range(draw(st.integers(0, 3))):
+        potential = ModulatedPotential(potential, draw(_MAGNITUDES), draw(_MAGNITUDES))
+    return potential
+
+
+def _assert_phase_is_evaluated_phase(potential, size, dt, t):
+    """_phases(potential, size, dt)(t) is bitwise cos/sin of -dt * evaluate,
+    and raises exactly when that array or its angle is not finite."""
+    try:
+        with np.errstate(all="ignore"):
+            values = potential.evaluate(np.arange(size), t)
+            angle = -dt * values
+    except NumericalConsistencyError:  # omega * t overflows
+        finite = False
+    else:
+        finite = np.all(np.isfinite(values)) and np.all(np.isfinite(angle))
+    if not finite:
+        with pytest.raises(NumericalConsistencyError, match="not finite"):
+            _phases(potential, size, dt)(t)
+        return
+    angle += 0.0
+    phase = _phases(potential, size, dt)(t)
+    assert phase.real.tobytes() == np.cos(angle).tobytes()
+    assert phase.imag.tobytes() == np.sin(angle).tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(
+    data=st.data(),
+    size=st.one_of(st.integers(1, 512), st.sampled_from(PRIMES_TO_512)),
+    dt=_MAGNITUDES,
+    t=_MAGNITUDES,
+)
+def test_phases_are_exactly_the_evaluated_phase(data, size, dt, t):
+    _assert_phase_is_evaluated_phase(data.draw(_potentials(size)), size, dt, t)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    size=st.one_of(st.integers(1, 512), st.sampled_from(PRIMES_TO_512)),
+    seed=st.integers(0, 2**32 - 1),
+    ulps=st.integers(-3, 3),
+    edge_in_dt=st.booleans(),
+)
+def test_phase_overflow_checks_are_exact_at_the_edge(size, seed, ulps, edge_in_dt):
+    # the scale (or the step) that takes the peak of V (or of the angle)
+    # to the largest double, moved by a few ulps to either side
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1.0, 1.0, size)
+    values *= rng.uniform(2.0, 1e6) / np.abs(values).max()
+    edge = np.finfo(np.float64).max / np.abs(values).max()
+    for _ in range(abs(ulps)):
+        edge = np.nextafter(edge, np.inf if ulps > 0 else 0.0)
+    scale, dt = (1.0, float(edge)) if edge_in_dt else (float(edge), 1e-300)
+    potential = ModulatedPotential(TabulatedPotential(tuple(values)), scale, omega=0.0)
+    _assert_phase_is_evaluated_phase(potential, size, dt, 0.0)
+
+
+def test_phases_are_reused_only_while_the_scales_repeat():
+    static = _phases(HarmonicPotential(10.0, 0.3), 21, 0.01)
+    assert static(0.1) is static(7.5)
+    modulated = _phases(_modulated_trap(21), 21, 0.01)
+    first = modulated(0.1).copy()
+    assert not np.array_equal(modulated(0.2), first)
+    assert np.array_equal(modulated(0.1), first)
+    with pytest.raises(ValueError):
+        first_again = modulated(0.1)
+        first_again[0] = 0.0  # a reused phase is read-only
+
+
+def test_profile_is_evaluated_once_per_run(monkeypatch):
+    profile, calls = HarmonicPotential.profile, []
+
+    def counting(self, n):
+        calls.append(n.size)
+        return profile(self, n)
+
+    monkeypatch.setattr(HarmonicPotential, "profile", counting)
+    params = EvolutionParams(mu=1.0, dt=1e-3, steps=200)
+    records = list(evolve(fig2_packet(), params, _modulated_trap(21), record_every=50))
+    assert len(records) == 5 and calls == [21]
+
+
+def test_potential_without_profile_fails_before_any_record():
+    class Ramp(Potential):  # overrides evaluate only, so defines no profile
+        def evaluate(self, n, t):
+            return t * np.asarray(n, dtype=np.float64)
+
+    params = EvolutionParams(mu=1.0, dt=1e-3, steps=10)
+    with pytest.raises(NotImplementedError, match="Ramp defines no profile"):
+        evolution.record_blocks(fig2_packet(), params, Ramp())
+
+
 def test_exact_propagator_zero_duration():
     prop = exact_propagator(13, 1.0, HarmonicPotential(6.0, 0.4), 0.0, 0.0)
     assert np.max(np.abs(prop.matrix - np.eye(13))) < 1e-12
@@ -467,7 +582,7 @@ def test_modulated_potential_evaluation():
     n = np.arange(4)
     assert np.allclose(mod.evaluate(n, 0.0), 0.5 * 2.0 * n)
     assert np.allclose(mod.evaluate(n, 1.0), -0.5 * 2.0 * n)
-    assert mod.time_dependent and not base.time_dependent
+    assert mod.scales(1.0) == pytest.approx((-0.5,)) and base.scales(1.0) == ()
 
 
 def test_time_dependent_potential_runs():
