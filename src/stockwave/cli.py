@@ -10,14 +10,20 @@ Commands:
 state and evolve write through one sink, CSV or JSON per the scenario,
 used as a with-block. A sink takes a whole RecordBlock, as
 evolution.record_blocks yields them (state writes a block of one), so
-memory stays O(N) whatever the record count. It converts the block's
-arrays to Python floats with one tolist each and writes record by
-record: the CSV sink formats a record's distribution rows with one %
-call on a template cached per N (one call per ROWS_PER_FORMAT rows on
-larger lattices) and its summary row with one more. An exception that
-aborts the with-block ends the partial output, whole records only, in a
-truncation marker (a TRUNCATED row, or "truncated": true) and closes it;
-every record before the failure is written first.
+memory stays O(N) whatever the record count, and writes it record by
+record. The CSV sink lays out a table of records as two uint8 matrices,
+the distribution rows and the summary rows: each record's "step,t,"
+prefix, a cached "n," column per N, every number's format_number bytes
+from one numfmt.encode call, and the separators, all zero-padded. One
+boolean compress drops the padding of a whole matrix, and the text is
+cut at the records' cumulative lengths, so each record is still one
+write per file. A table holds the records whose numbers fill one
+numfmt.CHUNK (at least one record), so its bytes stay O(CHUNK + N). The
+JSON sink converts the block's arrays to Python floats with one tolist
+each. An exception that aborts the with-block ends the partial output,
+whole records only, in a truncation marker (a TRUNCATED row, or
+"truncated": true) and closes it; every record before the failure is
+written first.
 
 Exit codes: 0 success, 1 usage or schema problem, 2 numerical invariant
 violation, 3 I/O failure. All emitted numbers are deterministic for a
@@ -36,6 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import numfmt
 from .errors import StockwaveError
 from .lattice import norm
 from .operators import (
@@ -89,22 +96,55 @@ def _format_eigenvalue(value: float) -> str:
     return f"{sign}{whole}.{frac:012d}"
 
 
-# Rows per % call: one call per record up to here, a call per chunk of
-# rows beyond. One % call building a record's ~46 KB of rows at N = 1031
-# raised the evolve-prime peak RSS by ~1 MB; chunks of 256 rows did not.
-ROWS_PER_FORMAT = 256
+def _ascii(texts: list) -> np.ndarray:
+    """(len(texts), width) uint8: each text's bytes, zero-padded."""
+    return np.array(texts, dtype="S").view(np.uint8).reshape(len(texts), -1)
 
 
 @functools.lru_cache(maxsize=4)
-def _dist_templates(size: int) -> tuple:
-    """(first row, template) per chunk of one record's distribution rows:
-    each row's %s takes "step,t," and %.15g is format_number's format."""
-    starts = range(0, size, ROWS_PER_FORMAT)
-    rows = [f"%s{n},%.15g,%.15g\n" for n in range(size)]
-    return tuple((start, "".join(rows[start:start + ROWS_PER_FORMAT])) for start in starts)
+def _level_column(size: int) -> np.ndarray:
+    """The "n," field of each distribution row of a lattice, as bytes."""
+    column = _ascii([f"{n}," for n in range(size)])
+    column.setflags(write=False)
+    return column
 
 
-_SUMMARY_ROW = "%s" + ",".join(["%.15g"] * len(SUMMARY_FIELDS)) + "\n"
+_COMMA, _NEWLINE = np.frombuffer(b",", np.uint8), np.frombuffer(b"\n", np.uint8)
+_SUMMARY_ENDS = np.frombuffer(b"," * (len(SUMMARY_FIELDS) - 1) + b"\n", np.uint8)[:, None]
+
+
+def _numbers(*arrays) -> list:
+    """format_number's bytes of each value of each float array, one
+    array.shape + (W,) uint8 array each, from one numfmt.encode call;
+    adding 0.0 folds -0.0 as format_number does."""
+    text = numfmt.encode(np.concatenate([array.ravel() for array in arrays]) + 0.0)
+    ends = np.cumsum([array.size for array in arrays])
+    return [
+        text[end - array.size:end].reshape(*array.shape, numfmt.W)
+        for array, end in zip(arrays, ends)
+    ]
+
+
+def _table(shape: tuple, *columns) -> np.ndarray:
+    """A shape + (width,) uint8 table of the byte columns side by side,
+    each broadcast to shape + (its width,). Zero bytes are padding
+    wherever they sit."""
+    table = np.empty((*shape, sum(column.shape[-1] for column in columns)), np.uint8)
+    start = 0
+    for column in columns:
+        table[..., start:start + column.shape[-1]] = column
+        start += column.shape[-1]
+    return table
+
+
+def _record_texts(table: np.ndarray):
+    """The text of each record of a table with one record per leading
+    index, its zero pad bytes dropped; the whole table is compressed in
+    one step and cut at the records' cumulative lengths."""
+    rows = table.reshape(len(table), -1)
+    ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
+    text = str(rows[rows != 0], "ascii")
+    return (text[start:end] for start, end in zip([0, *ends], ends))
 
 
 def _block_rows(block):
@@ -143,16 +183,28 @@ class _CsvSink(contextlib.AbstractContextManager):
             self._files = files.pop_all()
 
     def write_block(self, block):
-        templates = _dist_templates(block.observables.prob_price.shape[-1])
-        for (step, t), prices, owners, summary in _block_rows(block):
-            prefix = f"{step},{format_number(t)},"
-            fields = [prefix] * (3 * len(prices))
-            fields[1::3] = prices
-            fields[2::3] = owners
-            for start, template in templates:
-                chunk = fields[3 * start:3 * (start + ROWS_PER_FORMAT)]
-                self._dist_file.write(template % tuple(chunk))
-            self._summary_file.write(_SUMMARY_ROW % (prefix, *summary))
+        observables = block.observables
+        summary = np.column_stack((observables.summary, block.norm_errors))
+        size = observables.prob_price.shape[1]
+        # a table holds the records whose numbers fill one kernel chunk, or one
+        records = max(1, numfmt.CHUNK // (2 * size + summary.shape[1]))
+        for start in range(0, len(block.marks), records):
+            rows = slice(start, start + records)
+            prices, owners = observables.prob_price[rows], observables.prob_owner[rows]
+            self._write_table(block.marks[rows], prices, owners, summary[rows])
+
+    def _write_table(self, marks, prob_price, prob_owner, summary):
+        records, size = prob_price.shape
+        prices, owners, scalars = _numbers(prob_price, prob_owner, summary)
+        prefix = _ascii([f"{step},{format_number(t)}," for step, t in marks])
+        dist_texts = _record_texts(_table(
+            (records, size), prefix[:, None], _level_column(size), prices, _COMMA, owners, _NEWLINE
+        ))
+        fields = _table(scalars.shape[:2], scalars, _SUMMARY_ENDS).reshape(records, -1)
+        summary_texts = _record_texts(_table((records,), prefix, fields))
+        for dist_text, summary_text in zip(dist_texts, summary_texts):
+            self._dist_file.write(dist_text)
+            self._summary_file.write(summary_text)
 
     def __exit__(self, exc_type, exc, tb):
         with self._files:
@@ -275,6 +327,7 @@ def cmd_evolve(scenario: Scenario, quiet: bool) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="stockwave", description="Price/ownership lattice simulator")
     parser.add_argument("--quiet", action="store_true", help="suppress status lines")

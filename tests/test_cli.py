@@ -612,7 +612,7 @@ def test_csv_rows_format_like_format_number(tmp_path):
 
 
 def test_csv_rows_span_format_chunks(tmp_path):
-    size = 2 * cli.ROWS_PER_FORMAT + 3
+    size = 2 * cli.numfmt.CHUNK + 3
     values = np.random.default_rng(5).random(size)
     block = one_record_block(7, 1.5, values, values / 3.0, 0.5, 0.0)
     with cli._CsvSink(str(tmp_path / "rows.csv")) as sink:
@@ -748,18 +748,17 @@ def test_lattice_size_limit_fits_memory_budget(tmp_path, size):
     }
     for state in (custom, comb):
         for command in ("state", "evolve"):
-            doc = {
-                "N": size,
-                "state": state,
-                "evolution": evolution,
-                "output": {"format": "json", "path": str(tmp_path / "out.json"), "record_every": 5},
-            }
-            argv = ["--quiet", command, "--config", write_config(tmp_path, doc)]
-            assert run_cli(argv) == 0  # one-time allocations
-            tracemalloc.start()
-            try:
-                assert run_cli(argv) == 0
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak * (MAX_LATTICE_SIZE / size) <= 2**30, (command, state["type"], peak / size)
+            for fmt in ("json", "csv"):
+                output = {"format": fmt, "path": str(tmp_path / f"out.{fmt}"), "record_every": 5}
+                doc = {"N": size, "state": state, "evolution": evolution, "output": output}
+                argv = ["--quiet", command, "--config", write_config(tmp_path, doc)]
+                assert run_cli(argv) == 0  # one-time allocations
+                tracemalloc.start()
+                try:
+                    assert run_cli(argv) == 0
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak * (MAX_LATTICE_SIZE / size) <= 2**30, (
+                    command, state["type"], fmt, peak / size
+                )
