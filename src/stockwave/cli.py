@@ -44,15 +44,13 @@ import numpy as np
 
 from . import numfmt
 from .errors import StockwaveError
-from .lattice import norm
 from .operators import (
     MAX_DENSE_SIZE,
     SUMMARY_COLUMNS,
-    block_observables,
     commutator_spectrum,
     uncertainty_product_report,
 )
-from .evolution import RecordBlock, record_blocks
+from .evolution import _observed, record_blocks
 from .scenario import Scenario, ScenarioError, build_initial_state, parse_scenario
 
 EXIT_OK = 0
@@ -265,12 +263,10 @@ def _load_scenario(path: str) -> Scenario:
 
 def cmd_state(scenario: Scenario, quiet: bool) -> int:
     state = build_initial_state(scenario)
-    observables = block_observables(state.values[None, :])
-    _, violation = observables.robertson_prefix()
-    if violation is not None:
-        raise violation
-    norm_errors = np.array([abs(norm(state.base) - 1.0)])
-    block = RecordBlock([(0, 0.0)], state.values[None, :], norm_errors, observables)
+    # evolve's step-0 record, so the two summary rows agree byte for byte
+    block, error = _observed(state.values[None, :], [(0, 0.0)])
+    if error is not None:
+        raise error
     with _make_sink(scenario) as sink:
         sink.write_block(block)
     if not quiet and scenario.output.path is not None:

@@ -378,14 +378,6 @@ def evolve(
     return (record for block in blocks for record in block.records())
 
 
-def _record(step_time: float, values: np.ndarray, step: int = 0) -> TrajectoryRecord:
-    """One record: ``_observed`` on a block of one."""
-    block, error = _observed(np.array(values, np.complex128, ndmin=2), [(step, step_time)])
-    if error is not None:
-        raise error
-    return next(block.records())
-
-
 def _record_blocks(phi0, params, phase, record_every):
     size, t0, dt = phi0.size, params.t0, params.dt
     half_kick, full_kick = _kicks(size, dt, params.mu)

@@ -99,6 +99,32 @@ def test_state_stdout_when_no_path(tmp_path, capsys):
     assert "step,t,mean_price" in out
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    size=st.integers(2, 199),
+    kappa=st.floats(0.2, 5.0),
+    n0=st.integers(0, 198),
+    k0=st.integers(0, 198),
+)
+def test_state_writes_the_step_zero_record_of_evolve(size, kappa, n0, k0):
+    state = {"type": "gaussian", "kappa": kappa, "n0": n0 % size, "k0": k0 % size}
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = {}
+        for command in ("state", "evolve"):
+            doc = {
+                "N": size,
+                "state": state,
+                "evolution": {"mu": 1.0, "dt": 0.01, "steps": 1},
+                "output": {"format": "csv", "path": str(Path(tmp) / f"{command}.csv")},
+            }
+            config = write_config(Path(tmp), doc, f"{command}.json")
+            assert run_cli(["--quiet", command, "--config", config]) == 0
+            _, rows = read_csv(Path(tmp) / f"{command}.csv")
+            _, summary = read_csv(Path(tmp) / f"{command}_summary.csv")
+            outputs[command] = rows[:size], summary[0]
+        assert outputs["state"] == outputs["evolve"]
+
+
 def test_spectrum_row_11(capsys):
     assert run_cli(["spectrum", "--n", "21"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -34,7 +34,7 @@ from stockwave import (
     strang_step,
 )
 from stockwave import evolution
-from stockwave.evolution import _kicks, _phases, _potential_phase, _record, _strang_segment
+from stockwave.evolution import _kicks, _observed, _phases, _potential_phase, _strang_segment
 from helpers import primes_to, random_lattice_function
 
 
@@ -347,9 +347,10 @@ def test_evolve_contract_checks():
 
 
 def test_record_flags_norm_drift():
-    bad = np.ones(4, dtype=complex)  # norm 2, far beyond the budget
-    with pytest.raises(ConservationError):
-        _record(0.0, bad)
+    bad = np.ones((1, 4), dtype=complex)  # norm 2, far beyond the budget
+    block, error = _observed(bad, [(0, 0.0)])
+    assert len(block) == 0
+    assert isinstance(error, ConservationError)
 
 
 @pytest.mark.parametrize("record_every", [1, 1000, 10_000])

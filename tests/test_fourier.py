@@ -8,6 +8,7 @@ from stockwave import (
     DimensionError,
     FourierPlan,
     LatticeFunction,
+    NormalizedState,
     ThetaParams,
     delta_state,
     dft_matrix,
@@ -16,7 +17,7 @@ from stockwave import (
     inner_product,
     inverse,
     norm,
-    plan_for,
+    owner_distribution,
     upsilon_state,
 )
 from stockwave.fourier import (
@@ -26,6 +27,7 @@ from stockwave.fourier import (
     circulant,
     circulant_matrix,
 )
+from stockwave.operators import block_observables
 from helpers import primes_to, random_lattice_function
 
 
@@ -49,14 +51,6 @@ def test_forward_maps_upsilon_to_dual():
     assert np.max(np.abs(out.values - dual.values)) < 1e-10
 
 
-def test_round_trip_identity():
-    rng = np.random.default_rng(5)
-    for size in (21, 33, 101):
-        phi = random_lattice_function(rng, size)
-        back = inverse(forward(phi))
-        assert np.max(np.abs(back.values - phi.values)) < 1e-12
-
-
 def test_inverse_delta_is_owner_eigenfunction():
     size, m = 21, 6
     out = inverse(delta_state(m, size).base)
@@ -75,16 +69,16 @@ def test_inverse_constant_is_delta0():
 def test_naive_agrees_with_fast_path():
     rng = np.random.default_rng(17)
     for size in (1, 2, 8, 21, 33, 64, 100, 1031):
-        fft_inverse = plan_for(size, "inverse", "fft")
+        fwd_plan = FourierPlan(size, "forward")
+        inv_plan = FourierPlan(size, "inverse")
         kernel_inverse = dft_matrix(size, "inverse")
         for _ in range(100):
             phi = random_lattice_function(rng, size)
             fast = forward(phi).values
             slow = forward_naive(phi).values
             assert np.max(np.abs(fast - slow)) < 1e-11
-            forced = plan_for(size, "forward", "fft").apply(phi.values)
-            assert np.max(np.abs(forced - slow)) < 1e-11
-            back = fft_inverse.apply(phi.values)
+            assert np.max(np.abs(fwd_plan.apply(phi.values) - slow)) < 1e-11
+            back = inv_plan.apply(phi.values)
             assert np.max(np.abs(back - kernel_inverse @ phi.values)) < 1e-11
 
 
@@ -123,16 +117,6 @@ def test_unitarity_of_inner_products():
         assert norm(forward(phi)) == pytest.approx(norm(phi), abs=1e-12)
 
 
-def test_fourth_power_is_identity():
-    rng = np.random.default_rng(31)
-    for size in (12, 21, 101):
-        phi = random_lattice_function(rng, size)
-        out = phi
-        for _ in range(4):
-            out = forward(out)
-        assert np.max(np.abs(out.values - phi.values)) < 1e-10
-
-
 def test_fft_equals_naive_including_primes():
     rng = np.random.default_rng(37)
     for size in (8, 13, 21, 64, 101):
@@ -144,23 +128,26 @@ def test_fft_equals_naive_including_primes():
 
 def test_phase_tables_on_unit_circle():
     for size in (7, 21, 50):
-        plan = FourierPlan(size, "forward", "direct")
-        assert np.max(np.abs(np.abs(plan.phases) - 1.0)) <= 1e-14
+        for direction in ("forward", "inverse"):
+            entries = np.abs(dft_matrix(size, direction)) * np.sqrt(size)
+            assert np.max(np.abs(entries - 1.0)) <= 1e-14
 
 
 def test_plan_size_mismatch():
-    plan = plan_for(8, "forward")
     with pytest.raises(DimensionError):
-        forward(LatticeFunction(np.ones(9)), plan)
-    with pytest.raises(DimensionError):
-        plan_for(64, "forward", "fft").apply(np.ones(65))
+        FourierPlan(64, "forward", "fft").apply(np.ones(65))
 
 
 def test_plan_direction_mismatch():
     with pytest.raises(ValueError):
-        forward(LatticeFunction(np.ones(8)), plan_for(8, "inverse"))
-    with pytest.raises(ValueError):
         FourierPlan(8, "sideways")
+    with pytest.raises(ValueError):
+        FourierPlan(8, "forward", "direct")
+
+
+def test_dft_matrix_rejects_unknown_direction():
+    with pytest.raises(ValueError):
+        dft_matrix(8, "sideways")
 
 
 def test_dft_matrix_is_unitary():
@@ -181,11 +168,9 @@ def _unit_state(seed, size):
 
 
 def _kick_by_defining_sums(diagonal, values):
-    # uncached plans: a 2100-level kernel matrix is 70 MB, so plan_for's
-    # cache would pin it
     size = values.size
-    owner = FourierPlan(size, "forward", "direct").apply(values)
-    return FourierPlan(size, "inverse", "direct").apply(diagonal * owner)
+    owner = dft_matrix(size, "forward") @ values
+    return dft_matrix(size, "inverse") @ (diagonal * owner)
 
 
 def _check_circulant(size, seed):
@@ -261,11 +246,17 @@ def test_circulant_size_mismatch():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_auto_transforms_keep_norm_and_have_period_four(size, seed):
-    values = _unit_state(seed, size)
-    fourth = values
-    for direction in ("forward", "inverse"):
-        out = plan_for(size, direction).apply(values)
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+    phi = LatticeFunction(_unit_state(seed, size))
+    owner = forward(phi)
+    for out in (owner, inverse(phi)):
+        assert abs(np.linalg.norm(out.values) - 1.0) < 1e-12
+    # the observables' transform, bit for bit
+    probs = np.abs(owner.values) ** 2
+    assert np.array_equal(probs, owner_distribution(NormalizedState(phi)).probs)
+    assert np.array_equal(probs, block_observables(phi.values[None]).prob_owner[0])
+    # a unit state, so the bounds are relative to the norm
+    assert np.max(np.abs(inverse(owner).values - phi.values)) < 1e-14
+    fourth = phi
     for _ in range(4):
-        fourth = plan_for(size, "forward").apply(fourth)
-    assert np.max(np.abs(fourth - values)) < 1e-12
+        fourth = forward(fourth)
+    assert np.max(np.abs(fourth.values - phi.values)) < 1e-12
