@@ -13,17 +13,19 @@ evolution.record_blocks yields them (state writes a block of one), so
 memory stays O(N) whatever the record count, and writes it record by
 record. The CSV sink lays out a table of records as two uint8 matrices,
 the distribution rows and the summary rows: each record's "step,t,"
-prefix, a cached "n," column per N, every number's format_number bytes
-from one numfmt.encode call, and the separators, all zero-padded. One
-boolean compress drops the padding of a whole matrix, and the text is
-cut at the records' cumulative lengths, so each record is still one
-write per file. A table holds the records whose numbers fill one
-numfmt.CHUNK (at least one record), so its bytes stay O(CHUNK + N). The
-JSON sink converts the block's arrays to Python floats with one tolist
-each. An exception that aborts the with-block ends the partial output,
-whole records only, in a truncation marker (a TRUNCATED row, or
-"truncated": true) and closes it; every record before the failure is
-written first.
+prefix, a cached "n," column per N, the number fields and the
+separators, all zero-padded. A table is one numfmt.encode pass: it
+formats every number of the table, each record's t included, and the t
+field is cut to its widest text. One bytes.translate strips the padding
+of a whole matrix, and the text is cut at the records' cumulative
+lengths, so each record is still one write per file. A table holds the
+records whose numbers, t included, fill one numfmt.CHUNK (at least one
+record), so its bytes stay O(CHUNK + N). The JSON sink converts the
+block's arrays to Python floats with one tolist each. An exception that
+aborts the with-block ends the partial output, whole records only, in a
+truncation marker (a TRUNCATED row, or "truncated": true) and closes
+it; every record before the failure is written first. Status lines go
+to stdout only when the output goes to a file.
 
 Exit codes: 0 success, 1 usage or schema problem, 2 numerical invariant
 violation, 3 I/O failure. All emitted numbers are deterministic for a
@@ -137,11 +139,10 @@ def _table(shape: tuple, *columns) -> np.ndarray:
 
 def _record_texts(table: np.ndarray):
     """The text of each record of a table with one record per leading
-    index, its zero pad bytes dropped; the whole table is compressed in
-    one step and cut at the records' cumulative lengths."""
-    rows = table.reshape(len(table), -1)
-    ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
-    text = str(rows[rows != 0], "ascii")
+    index, its zero pad bytes dropped; the whole table is stripped in
+    one translate and cut at the records' cumulative lengths."""
+    ends = np.cumsum(np.count_nonzero(table.reshape(len(table), -1), axis=1)).tolist()
+    text = table.tobytes().translate(None, b"\0").decode("ascii")
     return (text[start:end] for start, end in zip([0, *ends], ends))
 
 
@@ -184,8 +185,9 @@ class _CsvSink(contextlib.AbstractContextManager):
         observables = block.observables
         summary = np.column_stack((observables.summary, block.norm_errors))
         size = observables.prob_price.shape[1]
-        # a table holds the records whose numbers fill one kernel chunk, or one
-        records = max(1, numfmt.CHUNK // (2 * size + summary.shape[1]))
+        # a table holds the records whose numbers, t included, fill one
+        # kernel chunk, or one
+        records = max(1, numfmt.CHUNK // (2 * size + summary.shape[1] + 1))
         for start in range(0, len(block.marks), records):
             rows = slice(start, start + records)
             prices, owners = observables.prob_price[rows], observables.prob_owner[rows]
@@ -193,8 +195,10 @@ class _CsvSink(contextlib.AbstractContextManager):
 
     def _write_table(self, marks, prob_price, prob_owner, summary):
         records, size = prob_price.shape
-        prices, owners, scalars = _numbers(prob_price, prob_owner, summary)
-        prefix = _ascii([f"{step},{format_number(t)}," for step, t in marks])
+        steps, times = zip(*marks)
+        prices, owners, scalars, t_texts = _numbers(prob_price, prob_owner, summary, np.array(times))
+        t_texts = t_texts[:, :np.count_nonzero(t_texts, axis=1).max()]  # the widest t text
+        prefix = _table((records,), _ascii([f"{step}," for step in steps]), t_texts, _COMMA)
         dist_texts = _record_texts(_table(
             (records, size), prefix[:, None], _level_column(size), prices, _COMMA, owners, _NEWLINE
         ))
@@ -318,7 +322,7 @@ def cmd_evolve(scenario: Scenario, quiet: bool) -> int:
             count += len(block)
             max_norm_error = max(max_norm_error, block.norm_errors.max().item())
             del block  # freed before the next block is computed
-    if not quiet:
+    if not quiet and scenario.output.path is not None:
         print(f"evolve: {count} records, max norm_error {format_number(max_norm_error)}")
     return EXIT_OK
 

@@ -335,6 +335,36 @@ def test_block_sinks_write_what_each_record_writes(size, steps, record_every, fm
         assert [path.read_text() for path in paths] == reference_output(doc)
 
 
+@pytest.mark.parametrize("size, steps, tables", [
+    (21, 500, 8),  # blocks of 195 records, tables of 81: table edges inside blocks
+    (1020, 9, 5),  # two records fill numfmt.CHUNK exactly
+    (1021, 9, 10),  # one record per table
+])
+def test_csv_tables_span_blocks_one_format_pass_each(tmp_path, monkeypatch, size, steps, tables):
+    doc = {
+        "N": size,
+        "state": {"type": "gaussian", "kappa": 1.0, "n0": size // 3, "k0": size // 2},
+        "evolution": {
+            "mu": 1.0,
+            "dt": 1.5e-4,  # t texts of several widths in one table
+            "steps": steps,
+            "potential": {"type": "harmonic", "center": size / 2.0, "strength": 4.0 / size},
+        },
+        "output": {"format": "csv", "path": str(tmp_path / "run.csv"), "record_every": 1},
+    }
+    passes, encode = [], cli.numfmt.encode
+
+    def counted_encode(values):
+        passes.append(values.size)
+        return encode(values)
+
+    monkeypatch.setattr(cli.numfmt, "encode", counted_encode)
+    assert run_cli(["--quiet", "evolve", "--config", write_config(tmp_path, doc)]) == 0
+    assert len(passes) == tables and max(passes) <= cli.numfmt.CHUNK
+    paths = [tmp_path / "run.csv", tmp_path / "run_summary.csv"]
+    assert [path.read_text() for path in paths] == reference_output(doc)
+
+
 def fail_record_write(monkeypatch, sink_class, file_attr, failing):
     """Make the given write of a record to each sink's file raise OSError
     (the header, written on opening, is not counted); return the sinks."""
@@ -546,6 +576,21 @@ def test_quiet_suppresses_status_line(tmp_path, capsys):
     assert "output written" in capsys.readouterr().out
     run_cli(["--quiet", "state", "--config", config])
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_evolve_to_stdout_writes_the_document_alone(tmp_path, capsys, fmt):
+    doc = failure_doc(steps=30)
+    doc["output"] = {"format": fmt, "path": str(tmp_path / f"run.{fmt}"), "record_every": 3}
+    assert run_cli(["evolve", "--config", write_config(tmp_path, doc)]) == 0
+    assert capsys.readouterr().out.startswith("evolve: 11 records, max norm_error ")
+    del doc["output"]["path"]
+    assert run_cli(["evolve", "--config", write_config(tmp_path, doc)]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out) == json.loads((tmp_path / "run.json").read_text())
+    else:
+        assert out == "\n".join((tmp_path / name).read_text() for name in ("run.csv", "run_summary.csv"))
 
 
 def test_json_output_format(tmp_path):
@@ -788,3 +833,41 @@ def test_lattice_size_limit_fits_memory_budget(tmp_path, size):
                 assert peak * (MAX_LATTICE_SIZE / size) <= 2**30, (
                     command, state["type"], fmt, peak / size
                 )
+
+
+def test_scenario_peak_grows_under_1_kib_per_level(tmp_path):
+    # MAX_LATTICE_SIZE levels at 1 KiB each fill the 1 GiB budget. From
+    # N = 4099 a record block holds one record, so the slope between these
+    # sizes is the per-level cost alone, without the fixed buffers (the
+    # format kernel's chunk, a CSV table) that the test above scales by N
+    sizes = (4099, 16411)
+
+    def peak(size, command, fmt):
+        doc = {
+            "N": size,
+            "state": {"type": "custom", "re": [1.0 + i % 3 for i in range(size)], "im": [0.5] * size},
+            "evolution": {
+                "mu": 1.0, "dt": 1e-3, "steps": 10,
+                "potential": {
+                    "type": "modulated",
+                    "base": {"type": "tabulated", "values": [1e-3 * i for i in range(size)]},
+                    "amplitude": 0.5,
+                    "omega": 2.0,
+                },
+            },
+            "output": {"format": fmt, "path": str(tmp_path / f"out.{fmt}"), "record_every": 5},
+        }
+        argv = ["--quiet", command, "--config", write_config(tmp_path, doc)]
+        assert run_cli(argv) == 0  # one-time allocations
+        tracemalloc.start()
+        try:
+            assert run_cli(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for command in ("state", "evolve"):
+        for fmt in ("csv", "json"):
+            small, large = (peak(size, command, fmt) for size in sizes)
+            per_level = (large - small) / (sizes[1] - sizes[0])
+            assert per_level <= 1024, (command, fmt, per_level)

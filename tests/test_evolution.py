@@ -255,6 +255,25 @@ def test_fused_segment_memory_does_not_grow_with_steps():
     assert peak < 32 * 16 * size
 
 
+def test_segment_memory_is_flat_in_record_every():
+    # a segment's midpoints are a generator; a list of them would hold
+    # record_every floats, ~590 KB more at 20 000 steps than at 2 000
+    size = 8
+    phi0 = gaussian_packet(PacketParams(ThetaParams(1.0, size), 3, 2))
+
+    def peak(steps):
+        params = EvolutionParams(mu=1.0, dt=1e-4, steps=steps)
+        tracemalloc.start()
+        try:
+            list(evolve(phi0, params, _modulated_trap(size), record_every=steps))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2_000)  # warm
+    assert abs(peak(20_000) - peak(2_000)) < 4096
+
+
 PRIMES_TO_512 = primes_to(512)
 
 
