@@ -46,13 +46,8 @@ import numpy as np
 
 from . import numfmt
 from .errors import StockwaveError
-from .operators import (
-    MAX_DENSE_SIZE,
-    SUMMARY_COLUMNS,
-    commutator_spectrum,
-    uncertainty_product_report,
-)
-from .evolution import _observed, record_blocks
+from .operators import MAX_DENSE_SIZE, SUMMARY_COLUMNS, commutator_spectrum
+from .evolution import record_blocks, state_record, uncertainty_product_report
 from .scenario import Scenario, ScenarioError, build_initial_state, parse_scenario
 
 EXIT_OK = 0
@@ -266,11 +261,8 @@ def _load_scenario(path: str) -> Scenario:
 
 
 def cmd_state(scenario: Scenario, quiet: bool) -> int:
-    state = build_initial_state(scenario)
     # evolve's step-0 record, so the two summary rows agree byte for byte
-    block, error = _observed(state.values[None, :], [(0, 0.0)])
-    if error is not None:
-        raise error
+    block = state_record(build_initial_state(scenario))
     with _make_sink(scenario) as sink:
         sink.write_block(block)
     if not quiet and scenario.output.path is not None:

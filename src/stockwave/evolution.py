@@ -20,10 +20,11 @@ one FFT pair, zero-padded when N has a large prime factor. A segment
 thus costs 2 transforms per step plus 2 per segment (one matrix product
 per step plus one for small N), and no step goes through the owner basis
 and back. Records are taken in blocks: ``record_blocks`` buffers the
-states of consecutive records into one read-only (B, N) array, checks
-its norm drift and takes its observables (``block_observables``, one
-np.fft pair along the last axis) once per block, and hands the block on
-whole, as the CLI sinks write it. ``evolve`` flattens the blocks into one
+states of consecutive records into one read-only (B, N) array, takes
+its observables (``block_observables``, one np.fft pair along the last
+axis) and checks its norm drift and Robertson bound once per block, in
+``_observed``, the one check of the library's report and of every CLI
+record, and hands the block on whole, as the CLI sinks write it. ``evolve`` flattens the blocks into one
 TrajectoryRecord per row, each viewing its row and bitwise what a block
 of one would give. On a failure the records before it are handed on
 first. The oracle's kinetic term F^-1 diag(k^2) F / (2*mu) comes from
@@ -45,17 +46,17 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import ConservationError, DimensionError, NumericalConsistencyError
+from .errors import (
+    ConservationError, DimensionError, InvariantViolationError, NumericalConsistencyError,
+)
 from .fourier import circulant, circulant_matrix
 from .lattice import NORM_DRIFT_TOL, LatticeFunction, NormalizedState
-from .operators import (
-    BlockObservables,
-    LinearOperatorRepr,
-    UncertaintyReport,
-    block_observables,
-)
+from .operators import BlockObservables, LinearOperatorRepr, UncertaintyReport, block_observables
 
 PROPAGATOR_UNITARITY_FACTOR = 1e-10
+# The relation holds for every state, so a product under the Robertson
+# bound by more than this is a bug signal.
+ROBERTSON_SLACK = 1e-9
 # Records are taken in blocks of at most this many amplitudes (rows * N,
 # at least one row): 195 records at N = 21, one from N = 4096. It is the
 # largest power of two that keeps memory flat in the record count: a JSON
@@ -309,9 +310,14 @@ class RecordBlock:
 
     def records(self) -> Iterator[TrajectoryRecord]:
         """One record per row, in order; states and reports view the block."""
-        rows = zip(self.states, self.marks, self.norm_errors.tolist(), self.observables.reports())
-        for values, (step, time), norm_error, report in rows:
+        obs = self.observables
+        rows = zip(
+            self.states, self.marks, self.norm_errors.tolist(), obs.prob_price, obs.prob_owner,
+            obs.summary.tolist(), obs.saturated.tolist(),
+        )
+        for values, (step, time), norm_error, price, owner, scalars, saturated in rows:
             state = NormalizedState._trusted(LatticeFunction._trusted(values))
+            report = UncertaintyReport(price, owner, *scalars, saturated)
             yield TrajectoryRecord(step, time, state, report, norm_error)
 
 
@@ -319,22 +325,48 @@ def _observed(block: np.ndarray, marks: list) -> tuple[RecordBlock, Exception | 
     """The valid prefix of a (B, N) block of states taken at (step, time)
     marks, and the error of the first invalid row, if any.
 
-    Norm drift, and with it finiteness, is checked for the whole block at
-    once; the observables of the rows before the first drifted one come
-    from one ``block_observables`` call, whose Robertson check may end the
-    prefix earlier. The block is made read-only and the prefix views it.
+    The one check of every record, for ``record_blocks``, the library
+    report and the CLI alike. A row is invalid once its norm drifts past
+    NORM_DRIFT_TOL (a non-finite row drifts too) or its spread product
+    undercuts the Robertson bound by more than ROBERTSON_SLACK. Drift is
+    checked for the whole block at once; the observables of the rows
+    before the first drifted one come from one ``block_observables``
+    call. The block is made read-only and the prefix views it.
     """
     block.setflags(write=False)
     norm_errors = np.abs(np.sqrt((block.real ** 2 + block.imag ** 2).sum(axis=-1)) - 1.0)
     drifted = np.flatnonzero(~(norm_errors <= NORM_DRIFT_TOL))  # NaN drifts too
-    good = int(drifted[0]) if drifted.size else len(marks)
-    observables = block_observables(block[:good])
-    rows, error = observables.robertson_prefix()
-    if error is None and good < len(marks):
-        error = ConservationError(
-            f"norm drifted by {norm_errors[good].item()!r} at t = {marks[good][1]!r}"
+    rows = int(drifted[0]) if drifted.size else len(marks)
+    obs = block_observables(block[:rows])
+    product, bound = obs.summary[:, 4], obs.summary[:, 5]  # SUMMARY_COLUMNS order
+    undercut, error = np.flatnonzero(product < bound - ROBERTSON_SLACK), None
+    if undercut.size:  # an earlier row than any drifted one
+        rows = int(undercut[0])
+        error = InvariantViolationError(
+            f"uncertainty product {product[rows].item()!r} undercuts bound {bound[rows].item()!r}"
         )
-    return RecordBlock(marks[:rows], block[:rows], norm_errors[:rows], observables[:rows]), error
+    elif rows < len(marks):
+        error = ConservationError(
+            f"norm drifted by {norm_errors[rows].item()!r} at t = {marks[rows][1]!r}"
+        )
+    obs = BlockObservables(
+        obs.prob_price[:rows], obs.prob_owner[:rows], obs.summary[:rows], obs.saturated[:rows]
+    )
+    return RecordBlock(marks[:rows], block[:rows], norm_errors[:rows], obs), error
+
+
+def state_record(state: NormalizedState) -> RecordBlock:
+    """A state as the step-0 record of a run, a block of one, checked as
+    every record is."""
+    block, error = _observed(state.values[None, :], [(0, 0.0)])
+    if error is not None:
+        raise error
+    return block
+
+
+def uncertainty_product_report(state: NormalizedState) -> UncertaintyReport:
+    """The observables of one state: the report of its step-0 record."""
+    return next(state_record(state).records()).report
 
 
 def record_blocks(

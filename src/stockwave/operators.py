@@ -1,4 +1,4 @@
-"""Price and ownership operators, their spectra, and uncertainty reports.
+"""Price and ownership operators, their spectra, and block observables.
 
 The price operator multiplies by the lattice index; the ownership
 operator is its conjugate under the finite Fourier transform, the
@@ -11,30 +11,24 @@ state. ``block_observables`` takes a (B, N) block of states, as evolve
 buffers them, through np.fft along the last axis and row sums, and
 returns them as arrays: both (B, N) distributions and the per-row scalar
 columns. Each row is bitwise what a block of one gives; a single state is
-B = 1, and an UncertaintyReport is a view of one row. The dense
-N x N operators serve the spectrum path and act as oracles;
-they are built per call in O(N^2), with no matrix product and no cache.
+B = 1. This module only computes: which rows are valid records, and the
+Robertson check that decides it, live in ``evolution._observed``. The
+dense N x N operators serve the spectrum path and act as oracles; they
+are built per call in O(N^2), with no matrix product and no cache.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .eigen import hermitian_eigensystem
-from .errors import (
-    ContractError,
-    DimensionError,
-    InvariantViolationError,
-    NumericalConsistencyError,
-)
+from .errors import ContractError, DimensionError, NumericalConsistencyError
 from .fourier import circulant_matrix
 from .lattice import NormalizedState
 
 HERMITICITY_TOL = 1e-12
 EXPECTATION_IMAG_TOL = 1e-10
-ROBERTSON_SLACK = 1e-9
 # Relative: a report is saturated once product - bound is at most this
 # share of the product, so two spreads of round-off are not saturated
 # merely because their product is tiny.
@@ -117,46 +111,12 @@ class UncertaintyReport:
 class BlockObservables:
     """The observables of a (B, N) block of states, one row per state: both
     (B, N) distributions, the (B, 6) scalar columns in SUMMARY_COLUMNS
-    order and the (B,) saturation flags. Row r is what
-    ``uncertainty_product_report`` gives for state r."""
+    order and the (B,) saturation flags; unchecked."""
 
     prob_price: np.ndarray
     prob_owner: np.ndarray
     summary: np.ndarray
     saturated: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.summary)
-
-    def __getitem__(self, rows: slice) -> "BlockObservables":
-        return BlockObservables(
-            self.prob_price[rows], self.prob_owner[rows], self.summary[rows], self.saturated[rows]
-        )
-
-    def robertson_prefix(self) -> tuple[int, InvariantViolationError | None]:
-        """The rows before the first whose product undercuts its bound by
-        more than the numerical slack, and that row's error; all rows and
-        None when none does. The relation holds for every state, so an
-        undercut is a bug signal."""
-        product, bound = self.summary[:, 4], self.summary[:, 5]  # SUMMARY_COLUMNS order
-        undercut = np.flatnonzero(product < bound - ROBERTSON_SLACK)
-        if not undercut.size:
-            return len(self), None
-        row = int(undercut[0])
-        return row, InvariantViolationError(
-            f"uncertainty product {product[row].item()!r} undercuts bound {bound[row].item()!r}"
-        )
-
-    def reports(self) -> Iterator[UncertaintyReport]:
-        """One UncertaintyReport per row, in order, viewing the row's
-        distributions; a row that undercuts its bound raises
-        InvariantViolationError when reached, after the rows before it."""
-        rows, violation = self.robertson_prefix()
-        columns = zip(self.summary[:rows].tolist(), self.saturated[:rows].tolist())
-        for row, (scalars, saturated) in enumerate(columns):
-            yield UncertaintyReport(self.prob_price[row], self.prob_owner[row], *scalars, saturated)
-        if violation is not None:
-            raise violation
 
 
 def price_operator(size: int) -> LinearOperatorRepr:
@@ -262,7 +222,7 @@ def block_observables(block: np.ndarray) -> BlockObservables:
     are |Phi|^2 and |A|^2; O Phi = F^-1(k A), and for hermitian P and O the
     bound |<[P, O]>|/2 is |Im<P Phi, O Phi>|. The transforms'
     intermediates are freed on return; products are formed in place where
-    a buffer is done. Nothing is checked here: see ``robertson_prefix``.
+    a buffer is done. Nothing is checked here: see ``evolution._observed``.
     """
     levels = np.arange(block.shape[-1])
     owner_amps = np.fft.fft(block, axis=-1, norm="ortho")
@@ -282,11 +242,6 @@ def block_observables(block: np.ndarray) -> BlockObservables:
     saturated = product - bound <= SATURATION_WINDOW * product
     summary = np.column_stack((mean_price, mean_owner, d_price, d_owner, product, bound))
     return BlockObservables(prob_price, prob_owner, summary, saturated)
-
-
-def uncertainty_product_report(state: NormalizedState) -> UncertaintyReport:
-    """The observables of one state: the report of a block of one."""
-    return next(block_observables(state.values[None, :]).reports())
 
 
 def _moments(levels: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
