@@ -55,8 +55,16 @@ from .operators import BlockObservables, LinearOperatorRepr, UncertaintyReport, 
 
 PROPAGATOR_UNITARITY_FACTOR = 1e-10
 # The relation holds for every state, so a product under the Robertson
-# bound by more than this is a bug signal.
+# bound by more than the slack is a bug signal. The slack is this, or this
+# share of ||P Phi|| ||O Phi|| where that is larger: the bound is
+# |Im<P Phi, O Phi>|, whose rounding error is a few eps times that product
+# (Cauchy-Schwarz). Over combs, point states and plane waves at N from 21
+# to 2^20 the worst gap bound - product was 0.7 eps ||P Phi|| ||O Phi||
+# (1.2e-5 for a comb at 2^20, 8e-5 for a point state), so 4 eps leaves a
+# 5x margin; and as ||P Phi||, ||O Phi|| <= N - 1, the slack is the
+# absolute 1e-9 for every state up to N = 1061.
 ROBERTSON_SLACK = 1e-9
+ROBERTSON_ROUNDING = 4 * np.finfo(np.float64).eps
 # Records are taken in blocks of at most this many amplitudes (rows * N,
 # at least one row): 195 records at N = 21, one from N = 4096. It is the
 # largest power of two that keeps memory flat in the record count: a JSON
@@ -328,7 +336,8 @@ def _observed(block: np.ndarray, marks: list) -> tuple[RecordBlock, Exception | 
     The one check of every record, for ``record_blocks``, the library
     report and the CLI alike. A row is invalid once its norm drifts past
     NORM_DRIFT_TOL (a non-finite row drifts too) or its spread product
-    undercuts the Robertson bound by more than ROBERTSON_SLACK. Drift is
+    undercuts the Robertson bound by more than the rounding slack
+    (ROBERTSON_SLACK, or ROBERTSON_ROUNDING ||P Phi|| ||O Phi||). Drift is
     checked for the whole block at once; the observables of the rows
     before the first drifted one come from one ``block_observables``
     call. The block is made read-only and the prefix views it.
@@ -338,8 +347,11 @@ def _observed(block: np.ndarray, marks: list) -> tuple[RecordBlock, Exception | 
     drifted = np.flatnonzero(~(norm_errors <= NORM_DRIFT_TOL))  # NaN drifts too
     rows = int(drifted[0]) if drifted.size else len(marks)
     obs = block_observables(block[:rows])
-    product, bound = obs.summary[:, 4], obs.summary[:, 5]  # SUMMARY_COLUMNS order
-    undercut, error = np.flatnonzero(product < bound - ROBERTSON_SLACK), None
+    mean_price, mean_owner, d_price, d_owner, product, bound = obs.summary.T  # SUMMARY_COLUMNS
+    # ||P Phi|| ||O Phi||, the root mean squares of the two distributions
+    scale = np.hypot(mean_price, d_price) * np.hypot(mean_owner, d_owner)
+    slack = np.maximum(ROBERTSON_SLACK, ROBERTSON_ROUNDING * scale)
+    undercut, error = np.flatnonzero(product < bound - slack), None
     if undercut.size:  # an earlier row than any drifted one
         rows = int(undercut[0])
         error = InvariantViolationError(

@@ -517,6 +517,20 @@ def test_robertson_violation_leaves_the_records_before_it(tmp_path, monkeypatch,
     assert truncated and records == clean[:violating_row]
 
 
+@pytest.mark.parametrize("command", ["state", "uncertainty", "evolve"])
+def test_comb_at_the_bound_passes_the_robertson_check_at_large_n(tmp_path, capsys, command):
+    # the product undercut the bound by 2.5e-9 of rounding, which an
+    # absolute 1e-9 slack called a violation (exit 2)
+    doc = {
+        "N": 30011,
+        "state": {"type": "gaussian", "kappa": 2.02, "n0": 15339, "k0": 8096},
+        "evolution": {"mu": 1.0, "dt": 1e-3, "steps": 1},
+        "output": {"format": "csv", "path": str(tmp_path / "out.csv")},
+    }
+    assert run_cli(["--quiet", command, "--config", write_config(tmp_path, doc)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.filterwarnings("error")
 def test_potential_overflow_at_a_step_leaves_the_records_before_it(

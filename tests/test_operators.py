@@ -300,6 +300,44 @@ def test_report_random_sweep():
         assert report.product >= report.bound - 1e-9
 
 
+@st.composite
+def large_lattice_states(draw):
+    """A point state or a Gaussian comb packet at N from 2^10 to 2^17."""
+    size = draw(st.integers(2**10, 2**17))
+    if draw(st.booleans()):
+        return delta_state(draw(st.integers(0, size - 1)), size)
+    theta = ThetaParams(10.0 ** draw(st.floats(-3.0, 3.0)), size)  # kappa * N >= 1
+    n0, k0 = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+    return gaussian_packet(PacketParams(theta, n0, k0))
+
+
+def within_half_the_slack(report):
+    """bound - product is at most 2 eps ||P Phi|| ||O Phi||, half the
+    rounding slack of the record check."""
+    p_rms = np.hypot(report.mean_price, report.delta_price)
+    o_rms = np.hypot(report.mean_owner, report.delta_owner)
+    return report.bound - report.product <= 2.0 * np.finfo(np.float64).eps * p_rms * o_rms
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(large_lattice_states())
+def test_report_admits_large_n_states_at_the_bound(state):
+    # an absolute 1e-9 slack called these violations from about N = 6000 on
+    # (point states) and N = 16411 (combs): the rounding gap grows as N^2
+    assert within_half_the_slack(uncertainty_product_report(state))
+
+
+@pytest.mark.parametrize("state", [
+    pytest.param(lambda: gaussian_packet(PacketParams(ThetaParams(2.02, 30011), 15339, 8096)),
+                 id="comb-30011"),
+    pytest.param(lambda: gaussian_packet(PacketParams(ThetaParams(1.0, 2**20), 700001, 300007)),
+                 id="comb-2^20"),
+    pytest.param(lambda: delta_state(2**20 - 1, 2**20), id="point-2^20"),
+])
+def test_report_admits_the_largest_lattices(state):
+    assert within_half_the_slack(uncertainty_product_report(state()))
+
+
 def test_operator_repr_validation():
     with pytest.raises(ValueError):
         LinearOperatorRepr(np.ones((2, 3)))
