@@ -6,6 +6,7 @@ and |F[Phi](k)|^2 the probability that trader k currently owns the stock.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,10 @@ NORMALIZATION_TOL = 1e-12
 # yields sum to 1 within (1 + NORM_DRIFT_TOL)^2 - 1.
 NORM_DRIFT_TOL = 1e-8
 PROBABILITY_SUM_TOL = (1.0 + NORM_DRIFT_TOL) ** 2 - 1.0
+# normalize takes the plain norm while the largest real or imaginary part
+# lies in this range: the sum of 2N squares then stays finite up to
+# N = 2^20, and a square that underflows is below 1e-200 of the total.
+PLAIN_NORM_RANGE = (1e-100, 1e100)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,11 +121,18 @@ def norm(phi: LatticeFunction) -> float:
 
 
 def normalize(phi: LatticeFunction) -> NormalizedState:
-    """Scale to unit norm; rejects the zero function."""
-    scale = norm(phi)
-    if scale == 0.0:
+    """Scale to unit norm; rejects the zero function. Amplitudes of any
+    finite magnitude are accepted: when their largest real or imaginary
+    part lies outside PLAIN_NORM_RANGE, they are first scaled exactly by the
+    power of two that brings it into [0.5, 1), so the squares in the norm
+    neither overflow nor underflow."""
+    values, parts = phi.values, phi.values.view(np.float64)  # re, im interleaved
+    peak = float(np.abs(parts).max())
+    if peak == 0.0:
         raise DegenerateStateError("zero-norm function has no normalized form")
-    return NormalizedState(LatticeFunction(phi.values / scale))
+    if not PLAIN_NORM_RANGE[0] <= peak <= PLAIN_NORM_RANGE[1]:
+        values = np.ldexp(parts, -math.frexp(peak)[1]).view(np.complex128)
+    return NormalizedState(LatticeFunction(values / np.linalg.norm(values)))
 
 
 def price_distribution(state: NormalizedState) -> ProbabilityVector:

@@ -90,6 +90,23 @@ def test_state_custom_uniform(tmp_path):
     assert [row[3] for row in rows] == ["0.25"] * 4
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [2.0**700, 2.0**-600, 2.0**-1074])
+def test_state_custom_amplitudes_of_any_magnitude(tmp_path, scale):
+    # 2^700 overflowed the norm (a traceback), 2^-600 underflowed it (exit
+    # 2); a power of two scales exactly, so the bytes match those of 1
+    outputs = []
+    for factor in (1.0, scale):
+        doc = {
+            "N": 3,
+            "state": {"type": "custom", "re": [factor, factor, 0.0], "im": [0.0, 0.0, 0.0]},
+            "output": {"format": "csv", "path": str(tmp_path / "out.csv")},
+        }
+        assert run_cli(["--quiet", "state", "--config", write_config(tmp_path, doc)]) == 0
+        outputs.append((tmp_path / "out.csv").read_bytes() + (tmp_path / "out_summary.csv").read_bytes())
+    assert outputs[1] == outputs[0]
+
+
 def test_state_stdout_when_no_path(tmp_path, capsys):
     doc = {"N": 4, "state": {"type": "delta", "m": 1}}
     config = write_config(tmp_path, doc)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from stockwave import (
     DegenerateStateError,
@@ -87,6 +89,32 @@ def test_normalize_gamma_gives_upsilon():
     gamma = gamma_state(params)
     ups = upsilon_state(params)
     assert np.allclose(normalize(gamma).values, ups.values, atol=0, rtol=0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values, expected", [
+    # the squares overflowed, leaving a norm of inf and a ValueError
+    ([1e200, 1e200, 0.0], [0.5**0.5, 0.5**0.5, 0.0]),
+    ([1.7e308 + 1.7e308j, -1.7e308], [(1 + 1j) / 3**0.5, -1 / 3**0.5]),
+    # the squares underflowed to a zero norm
+    ([1e-200, 1e-170, 0.0], [1e-30, 1.0, 0.0]),
+    # a subnormal square gave a norm 5% off and a ValueError
+    ([3e-162, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ([5e-324, 0.0], [1.0, 0.0]),
+])
+def test_normalize_accepts_any_finite_magnitude(values, expected):
+    result = normalize(LatticeFunction(values))
+    assert np.allclose(result.values, expected, rtol=1e-15, atol=0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(hnp.arrays(np.complex128, st.integers(1, 64), elements=st.complex_numbers(
+    min_magnitude=1e-99, max_magnitude=1e99, allow_nan=False, allow_infinity=False,
+)))
+def test_normalize_of_ordinary_magnitudes_is_the_plain_quotient(values):
+    # bitwise what normalize gave before it rescaled extreme amplitudes
+    result = normalize(LatticeFunction(values))
+    assert np.array_equal(result.values, values / np.linalg.norm(values))
 
 
 def test_normalize_zero_rejected():
