@@ -24,9 +24,9 @@ states of consecutive records into one read-only (B, N) array, takes
 its observables (``block_observables``, one np.fft pair along the last
 axis) and checks its norm drift and Robertson bound once per block, in
 ``_observed``, the one check of the library's report and of every CLI
-record, and hands the block on whole, as the CLI sinks write it. ``evolve`` flattens the blocks into one
-TrajectoryRecord per row, each viewing its row and bitwise what a block
-of one would give. On a failure the records before it are handed on
+record, and hands the block on whole, as the CLI sinks write it.
+``evolve`` flattens the blocks into one TrajectoryRecord per row, each
+viewing its row and bitwise what a block of one would give. On a failure the records before it are handed on
 first. The oracle's kinetic term F^-1 diag(k^2) F / (2*mu) comes from
 the small-N kick's dense builder, ``fourier.circulant_matrix``. The
 state is never renormalized: norm drift is reported and policed, not
@@ -199,6 +199,12 @@ class EvolutionParams:
             raise ValueError("steps must be >= 1")
         if not math.isfinite(self.t0):
             raise ValueError("t0 must be finite")
+        try:
+            end = self.t0 + self.steps * self.dt
+        except OverflowError:  # steps beyond the float range
+            end = math.inf
+        if not math.isfinite(end):  # then steps * dt is finite too
+            raise ValueError("t0 + steps * dt must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +220,13 @@ class TrajectoryRecord:
 
 def _kick(size: int, duration: float, mu: float) -> Callable:
     """Kinetic kick exp(-i*duration*O^2/(2*mu)) as a circulant operator on
-    price amplitudes; in the owner basis it is exp(-i*duration*k^2/(2*mu))."""
+    price amplitudes; in the owner basis it is exp(-i*duration*k^2/(2*mu)).
+    The scalar check on the largest k, in the same evaluation order, is
+    exact, as in ``_phases``."""
+    if not math.isfinite(duration * (size - 1) * (size - 1) / (2.0 * mu)):
+        raise NumericalConsistencyError(
+            f"kinetic phase is not finite for a kick of duration {duration!r}"
+        )
     k = np.arange(size, dtype=np.float64)
     return circulant(np.exp(-1j * duration * k * k / (2.0 * mu)))
 

@@ -214,7 +214,11 @@ def _parse_state(obj, size):
 def _parse_evolution(obj, size):
     values = _read(obj, "evolution", size, ("mu", "dt", "steps"), ("t0", "potential"))
     potential = values.pop("potential", ZeroPotential())
-    return EvolutionSpec(params=EvolutionParams(**values), potential=potential)
+    try:
+        params = EvolutionParams(**values)
+    except ValueError as exc:  # the fields passed their readers; their span did not
+        raise ScenarioError(f"range violation at evolution: {exc}") from None
+    return EvolutionSpec(params=params, potential=potential)
 
 
 def _load_json(text):

@@ -75,6 +75,29 @@ def test_kinetic_rejects_nonpositive_mu():
         kinetic_half_step(delta_state(0, 4).base, 0.1, 0.0)
 
 
+@pytest.mark.parametrize("t0, dt, steps", [
+    (1.79e308, 1e306, 2),  # t0 + steps * dt overflows
+    (-1e308, 1e308, 2),  # steps * dt overflows, though t0 + steps * dt would not
+    (0.0, 1e-300, 10**400),  # steps is beyond the float range
+], ids=["end", "span", "steps"])
+def test_params_reject_a_span_beyond_the_float_range(t0, dt, steps):
+    with pytest.raises(ValueError, match="must be finite"):
+        EvolutionParams(mu=1.0, dt=dt, steps=steps, t0=t0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_kick_phase_overflow_raises_one_error():
+    # dt * k^2 overflowed in the kick's phase: eight RuntimeWarnings, then a
+    # norm drift of nan
+    params = EvolutionParams(mu=1.0, dt=1e308, steps=1)
+    with pytest.raises(NumericalConsistencyError, match="kinetic phase is not finite"):
+        list(evolve(delta_state(1, 3), params, ZeroPotential()))
+    with pytest.raises(NumericalConsistencyError, match="kinetic phase is not finite"):
+        kinetic_half_step(delta_state(1, 3).base, 1e308, 0.25)
+    # the largest k decides: at N = 2 the same step is finite
+    assert len(list(evolve(delta_state(1, 2), params, ZeroPotential()))) == 2
+
+
 def test_potential_zero_is_identity():
     rng = np.random.default_rng(79)
     phi = random_lattice_function(rng, 13)

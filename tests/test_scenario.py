@@ -90,6 +90,17 @@ def test_type_errors():
         parse_scenario('{"N": 4, "state": {"type": "gaussian", "kappa": "x", "n0": 0, "k0": 0}}')
 
 
+@pytest.mark.parametrize("evolution", [
+    {"mu": 1.0, "dt": 1e306, "steps": 2, "t0": 1.79e308},
+    {"mu": 1.0, "dt": 1e-300, "steps": 10**400},
+], ids=["end", "steps"])
+def test_evolution_span_beyond_the_float_range_rejected(evolution):
+    # the times t0 + step * dt were written as inf (Infinity in JSON)
+    doc = {"N": 3, "state": {"type": "delta", "m": 1}, "evolution": evolution}
+    with pytest.raises(ScenarioError, match=r"^range violation at evolution: t0 \+ steps"):
+        parse_scenario(json.dumps(doc))
+
+
 def test_dt_zero_rejected_before_compute():
     doc = {
         "N": 8,
