@@ -42,6 +42,8 @@ class ThetaParams:
         # the dual comb takes 1/kappa, the theta series 1/(kappa*N) <= 1/kappa
         if not math.isfinite(1.0 / self.kappa):
             raise ValueError(f"kappa {self.kappa!r} is so small that 1/kappa overflows")
+        if not math.isfinite(self.kappa * math.pi):  # the comb's exponent rate
+            raise ValueError(f"kappa {self.kappa!r} is so large that kappa*pi overflows")
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,8 @@ def gamma_state(params: ThetaParams) -> LatticeFunction:
     window = _translate_window(kappa, size)
     n = np.arange(size)[:, None]
     m = np.arange(-window, window + 1)[None, :]
-    values = np.exp(-kappa * np.pi / size * (m * size + n) ** 2).sum(axis=1)
+    with np.errstate(over="ignore"):  # an exponent of -inf gives exp's limit, 0
+        values = np.exp(-kappa * np.pi / size * (m * size + n) ** 2).sum(axis=1)
     return LatticeFunction(values)
 
 

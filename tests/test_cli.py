@@ -1,15 +1,18 @@
 import builtins
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stockwave import (
     ConservationError,
@@ -588,6 +591,95 @@ def test_evolve_overflow_in_a_step_exits_with_one_line(tmp_path, capsys, fmt, ov
     err = capsys.readouterr().err
     assert code == 2 and err == f"stockwave: {message}\n"
     assert truncated and len(records) == 1  # step 0 needs no potential
+
+
+# Scenario numbers from the subnormal 1e-320 to 1e308, either sign
+MAGNITUDES = st.floats(1e-320, 1e308)
+SIGNED = st.one_of(st.just(0.0), MAGNITUDES, MAGNITUDES.map(lambda x: -x))
+
+
+@st.composite
+def scenario_runs(draw):
+    """(command, scenario document): N <= 8, at most 3 steps, output to stdout."""
+    size = draw(st.integers(1, 8))
+    index, levels = st.integers(0, size - 1), st.lists(SIGNED, min_size=size, max_size=size)
+    state = draw(st.one_of(
+        st.builds(lambda m: {"type": "delta", "m": m}, index),
+        st.builds(lambda kappa, n0, k0: {"type": "gaussian", "kappa": kappa, "n0": n0, "k0": k0},
+                  MAGNITUDES, index, index),
+        st.builds(lambda re, im: {"type": "custom", "re": re, "im": im}, levels, levels),
+    ))
+    potential = st.recursive(
+        st.one_of(
+            st.just({"type": "zero"}),
+            st.builds(lambda c, s: {"type": "harmonic", "center": c, "strength": s}, SIGNED, SIGNED),
+            st.builds(lambda s: {"type": "linear", "slope": s}, SIGNED),
+            st.builds(lambda v: {"type": "tabulated", "values": v}, levels),
+        ),
+        lambda base: st.builds(
+            lambda b, a, w: {"type": "modulated", "base": b, "amplitude": a, "omega": w},
+            base, SIGNED, SIGNED,
+        ),
+        max_leaves=3,
+    )
+    doc = {
+        "N": size,
+        "state": state,
+        "evolution": {
+            "mu": draw(MAGNITUDES), "dt": draw(MAGNITUDES), "steps": draw(st.integers(1, 3)),
+            "t0": draw(SIGNED), "potential": draw(potential),
+        },
+        "output": {"format": draw(st.sampled_from(["csv", "json"])),
+                   "record_every": draw(st.integers(1, 3))},
+    }
+    return draw(st.sampled_from(["state", "uncertainty", "evolve"])), doc
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def _bug_case(command, fmt="csv", **evolution):
+    doc = {"N": 3, "state": {"type": "delta", "m": 1},
+           "evolution": {"mu": 1.0, "dt": 0.1, "steps": 1, **evolution},
+           "output": {"format": fmt}}
+    return command, doc
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(run=scenario_runs())
+# dt * k^2 overflowed in the kick: RuntimeWarnings, then "norm drifted by nan"
+@example(run=_bug_case("evolve", dt=1e308))
+# t0 + steps * dt overflowed: exit 0 with "t": Infinity
+@example(run=_bug_case("evolve", "json", t0=1.79e308, dt=1e306, steps=2))
+# custom amplitudes whose squares overflowed (a traceback) or underflowed
+@example(run=("state", {"N": 3, "state": {"type": "custom", "re": [1e200, 1e200, 0.0],
+                                          "im": [0.0, 0.0, 0.0]}}))
+@example(run=("uncertainty", {"N": 3, "state": {"type": "custom", "re": [1e-200, 1e-170, 0.0],
+                                                "im": [0.0, 0.0, 0.0]}}))
+def test_every_run_ends_in_a_documented_exit_code(tmp_path_factory, run):
+    command, doc = run
+    config = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    config.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main([command, "--config", str(config)])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert err.startswith("stockwave: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""
+    if command == "uncertainty":
+        values = [float(line.split("=")[1]) for line in out.splitlines() if "saturated" not in line]
+        assert all(map(np.isfinite, values))
+    elif doc.get("output", {}).get("format") == "json":
+        if out:
+            json.loads(out, parse_constant=_reject_constant)
+    else:
+        fields = [f for line in out.splitlines() for f in line.split(",") if f]
+        assert not {"inf", "-inf", "nan"} & set(fields)
 
 
 def test_missing_config_is_io_error(tmp_path, capsys):

@@ -54,6 +54,16 @@ def test_theta_params_reject_kappa_whose_reciprocal_overflows():
     assert upsilon_state(ThetaParams(1e-300, 21)).size == 21
 
 
+@pytest.mark.filterwarnings("error")
+def test_huge_kappa_comb_is_a_point_state():
+    # kappa * pi overflowed to a NaN comb; a large finite exponent to an
+    # overflow warning, though exp's limit, 0, is the right value
+    with pytest.raises(ValueError, match="kappa\\*pi overflows"):
+        ThetaParams(1e308, 8)
+    for kappa in (2.03e306, 5e307):
+        assert np.array_equal(upsilon_state(ThetaParams(kappa, 8)).values, delta_state(0, 8).values)
+
+
 def test_gamma_matches_theta_route():
     # gamma_kappa(n) = theta3(n/N, 1/(kappa*N)) / sqrt(kappa*N), computed
     # here from the series rather than the translate sum
