@@ -26,11 +26,11 @@ axis) and checks its norm drift and Robertson bound once per block, in
 ``_observed``, the one check of the library's report and of every CLI
 record, and hands the block on whole, as the CLI sinks write it.
 ``evolve`` flattens the blocks into one TrajectoryRecord per row, each
-viewing its row and bitwise what a block of one would give. On a failure the records before it are handed on
-first. The oracle's kinetic term F^-1 diag(k^2) F / (2*mu) comes from
-the small-N kick's dense builder, ``fourier.circulant_matrix``. The
-state is never renormalized: norm drift is reported and policed, not
-hidden.
+viewing its row and bitwise what a block of one would give. On a failure
+the records before it are handed on first. The oracle's kinetic term
+F^-1 diag(k^2) F / (2*mu) comes from the small-N kick's dense builder,
+``fourier.circulant_matrix``. The state is never renormalized: norm
+drift is reported and policed, not hidden.
 
 A potential is a static profile times scalar factors, innermost first
 (``Potential.profile`` and ``Potential.scales``). ``_phases`` evaluates

@@ -20,8 +20,8 @@ NORMALIZATION_TOL = 1e-12
 NORM_DRIFT_TOL = 1e-8
 PROBABILITY_SUM_TOL = (1.0 + NORM_DRIFT_TOL) ** 2 - 1.0
 # normalize takes the plain norm while the largest real or imaginary part
-# lies in this range: the sum of 2N squares then stays finite up to
-# N = 2^20, and a square that underflows is below 1e-200 of the total.
+# lies in this range: the sum of the squares then stays far from overflow,
+# and a square small enough to underflow is below 1e-107 of the total.
 PLAIN_NORM_RANGE = (1e-100, 1e100)
 
 

@@ -106,7 +106,7 @@ def test_state_custom_amplitudes_of_any_magnitude(tmp_path, scale):
             "output": {"format": "csv", "path": str(tmp_path / "out.csv")},
         }
         assert run_cli(["--quiet", "state", "--config", write_config(tmp_path, doc)]) == 0
-        outputs.append((tmp_path / "out.csv").read_bytes() + (tmp_path / "out_summary.csv").read_bytes())
+        outputs.append([(tmp_path / name).read_bytes() for name in ("out.csv", "out_summary.csv")])
     assert outputs[1] == outputs[0]
 
 
@@ -612,7 +612,8 @@ def scenario_runs(draw):
     potential = st.recursive(
         st.one_of(
             st.just({"type": "zero"}),
-            st.builds(lambda c, s: {"type": "harmonic", "center": c, "strength": s}, SIGNED, SIGNED),
+            st.builds(lambda c, k: {"type": "harmonic", "center": c, "strength": k},
+                      SIGNED, SIGNED),
             st.builds(lambda s: {"type": "linear", "slope": s}, SIGNED),
             st.builds(lambda v: {"type": "tabulated", "values": v}, levels),
         ),
@@ -662,9 +663,10 @@ def test_every_run_ends_in_a_documented_exit_code(tmp_path_factory, run):
     config = tmp_path_factory.mktemp("fuzz") / "scenario.json"
     config.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
         warnings.simplefilter("error")
-        code = cli.main([command, "--config", str(config)])
+        with contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(config)])
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2, 3)
     if code:
