@@ -221,14 +221,17 @@ class TrajectoryRecord:
 def _kick(size: int, duration: float, mu: float) -> Callable:
     """Kinetic kick exp(-i*duration*O^2/(2*mu)) as a circulant operator on
     price amplitudes; in the owner basis it is exp(-i*duration*k^2/(2*mu)).
-    The scalar check on the largest k, in the same evaluation order, is
-    exact, as in ``_phases``."""
-    if not math.isfinite(duration * (size - 1) * (size - 1) / (2.0 * mu)):
+    The phase array itself is checked, once per kick: numpy divides a
+    complex array by 2*mu through its reciprocal, which overflows for a
+    subnormal mu even where the quotient would not."""
+    k = np.arange(size, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        phase = -1j * duration * k * k / (2.0 * mu)
+    if not np.isfinite(phase).all():
         raise NumericalConsistencyError(
             f"kinetic phase is not finite for a kick of duration {duration!r}"
         )
-    k = np.arange(size, dtype=np.float64)
-    return circulant(np.exp(-1j * duration * k * k / (2.0 * mu)))
+    return circulant(np.exp(phase))
 
 
 def _kicks(size: int, dt: float, mu: float) -> tuple[Callable, Callable]:

@@ -96,6 +96,9 @@ def test_kick_phase_overflow_raises_one_error():
         kinetic_half_step(delta_state(1, 3).base, 1e308, 0.25)
     # the largest k decides: at N = 2 the same step is finite
     assert len(list(evolve(delta_state(1, 2), params, ZeroPotential()))) == 2
+    # 1 / (2 mu) overflows, so even k = 0 gives 0 * inf
+    with pytest.raises(NumericalConsistencyError, match="kinetic phase is not finite"):
+        list(evolve(delta_state(0, 1), EvolutionParams(mu=1e-320, dt=1.0, steps=1), ZeroPotential()))
 
 
 def test_potential_zero_is_identity():
