@@ -262,7 +262,8 @@ def _load_scenario(path: str) -> Scenario:
 
 def cmd_state(scenario: Scenario, quiet: bool) -> int:
     # evolve's step-0 record, so the two summary rows agree byte for byte
-    block = state_record(build_initial_state(scenario))
+    t0 = scenario.evolution.params.t0 if scenario.evolution is not None else 0.0
+    block = state_record(build_initial_state(scenario), t0)
     with _make_sink(scenario) as sink:
         sink.write_block(block)
     if not quiet and scenario.output.path is not None:

@@ -267,10 +267,6 @@ def _phases(potential: Potential, size: int, dt: float) -> Callable[[float], np.
     return phase
 
 
-def _potential_phase(potential: Potential, size: int, dt: float, t: float) -> np.ndarray:
-    return _phases(potential, size, dt)(t)
-
-
 def _strang_segment(values, phases: Iterable[np.ndarray], half_kick, full_kick):
     """Strang steps, one per potential phase exp(-i*dt*V(t_mid)), with the
     inner half kicks merged: K(dt/2) . V . K(dt) . V ... V . K(dt/2).
@@ -283,27 +279,6 @@ def _strang_segment(values, phases: Iterable[np.ndarray], half_kick, full_kick):
         values = kick(values) * phase
         kick = full_kick
     return half_kick(values)
-
-
-def kinetic_half_step(phi, dt: float, mu: float) -> LatticeFunction:
-    """Apply exp(-i*(dt/2)*O^2/(2*mu)), the owner-diagonal half kick."""
-    if not (mu > 0.0):
-        raise ValueError("mu must be positive")
-    return LatticeFunction(_kick(phi.size, dt / 2.0, mu)(phi.values))
-
-
-def potential_full_step(phi, dt: float, potential: Potential, t_mid: float) -> LatticeFunction:
-    """Multiply by the pure phase exp(-i*dt*V(n, t_mid))."""
-    return LatticeFunction(phi.values * _potential_phase(potential, phi.size, dt, t_mid))
-
-
-def strang_step(phi, t: float, params: EvolutionParams, potential: Potential) -> LatticeFunction:
-    """Advance one step dt from time t; the potential is sampled at the
-    interval midpoint to keep second-order accuracy."""
-    phase = _potential_phase(potential, phi.size, params.dt, t + params.dt / 2.0)
-    half_kick = _kick(phi.size, params.dt / 2.0, params.mu)
-    # a segment of one step never reaches its full kick
-    return LatticeFunction(_strang_segment(phi.values, (phase,), half_kick, half_kick))
 
 
 def _checked(values_at: Callable, size: int, where: str = "") -> np.ndarray:
@@ -382,10 +357,10 @@ def _observed(block: np.ndarray, marks: list) -> tuple[RecordBlock, Exception | 
     return RecordBlock(marks[:rows], block[:rows], norm_errors[:rows], obs), error
 
 
-def state_record(state: NormalizedState) -> RecordBlock:
-    """A state as the step-0 record of a run, a block of one, checked as
-    every record is."""
-    block, error = _observed(state.values[None, :], [(0, 0.0)])
+def state_record(state: NormalizedState, t0: float) -> RecordBlock:
+    """A state as the step-0 record of a run that starts at t0, a block of
+    one, checked as every record is."""
+    block, error = _observed(state.values[None, :], [(0, t0)])
     if error is not None:
         raise error
     return block
@@ -393,7 +368,7 @@ def state_record(state: NormalizedState) -> RecordBlock:
 
 def uncertainty_product_report(state: NormalizedState) -> UncertaintyReport:
     """The observables of one state: the report of its step-0 record."""
-    return next(state_record(state).records()).report
+    return next(state_record(state, 0.0).records()).report
 
 
 def record_blocks(

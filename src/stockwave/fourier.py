@@ -59,18 +59,13 @@ def dft_matrix(size: int, direction: str = "forward") -> np.ndarray:
 
 class FourierPlan:
     """Transform for one lattice size and one direction: np.fft with
-    orthonormal scaling, applied only to vectors of that size.
+    orthonormal scaling, applied only to vectors of that size."""
 
-    ``method`` is "fft", or "auto", which means the same.
-    """
-
-    def __init__(self, size: int, direction: str = "forward", method: str = "auto"):
+    def __init__(self, size: int, direction: str = "forward"):
         if size < 1:
             raise ValueError("size must be >= 1")
         if direction not in ("forward", "inverse"):
             raise ValueError(f"unknown direction {direction!r}")
-        if method not in ("auto", "fft"):
-            raise ValueError(f"unknown method {method!r}")
         self.size = size
         self.direction = direction
         self._fft = np.fft.fft if direction == "forward" else np.fft.ifft

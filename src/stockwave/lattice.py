@@ -19,9 +19,10 @@ NORMALIZATION_TOL = 1e-12
 # yields sum to 1 within (1 + NORM_DRIFT_TOL)^2 - 1.
 NORM_DRIFT_TOL = 1e-8
 PROBABILITY_SUM_TOL = (1.0 + NORM_DRIFT_TOL) ** 2 - 1.0
-# normalize takes the plain norm while the largest real or imaginary part
-# lies in this range: the sum of the squares then stays far from overflow,
-# and a square small enough to underflow is below 1e-107 of the total.
+# norm and normalize take the plain norm while the largest real or
+# imaginary part lies in this range: the sum of the squares then stays far
+# from overflow, and a square small enough to underflow is below 1e-107 of
+# the total.
 PLAIN_NORM_RANGE = (1e-100, 1e100)
 
 
@@ -116,23 +117,37 @@ def inner_product(phi: LatticeFunction, psi: LatticeFunction) -> complex:
     return complex(np.vdot(phi.values, psi.values))
 
 
+def _scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """values / 2^e and e. While the largest real or imaginary part lies in
+    PLAIN_NORM_RANGE, e = 0 and values come back as they are; otherwise
+    they are scaled exactly by the power of two that brings that part into
+    [0.5, 1), so the squares in their norm neither overflow nor underflow."""
+    parts = values.view(np.float64)  # re, im interleaved
+    peak = float(np.abs(parts).max())
+    if PLAIN_NORM_RANGE[0] <= peak <= PLAIN_NORM_RANGE[1]:
+        return values, 0
+    exponent = math.frexp(peak)[1]
+    return np.ldexp(parts, -exponent).view(np.complex128), exponent
+
+
 def norm(phi: LatticeFunction) -> float:
-    return float(np.linalg.norm(phi.values))
+    """||phi|| for amplitudes of any finite magnitude; inf where the norm
+    itself exceeds the float range."""
+    values, exponent = _scaled(phi.values)
+    try:
+        return math.ldexp(float(np.linalg.norm(values)), exponent)
+    except OverflowError:
+        return math.inf
 
 
 def normalize(phi: LatticeFunction) -> NormalizedState:
     """Scale to unit norm; rejects the zero function. Amplitudes of any
-    finite magnitude are accepted: when their largest real or imaginary
-    part lies outside PLAIN_NORM_RANGE, they are first scaled exactly by the
-    power of two that brings it into [0.5, 1), so the squares in the norm
-    neither overflow nor underflow."""
-    values, parts = phi.values, phi.values.view(np.float64)  # re, im interleaved
-    peak = float(np.abs(parts).max())
-    if peak == 0.0:
+    finite magnitude are accepted (see ``_scaled``)."""
+    values = _scaled(phi.values)[0]
+    length = np.linalg.norm(values)
+    if length == 0.0:
         raise DegenerateStateError("zero-norm function has no normalized form")
-    if not PLAIN_NORM_RANGE[0] <= peak <= PLAIN_NORM_RANGE[1]:
-        values = np.ldexp(parts, -math.frexp(peak)[1]).view(np.complex128)
-    return NormalizedState(LatticeFunction(values / np.linalg.norm(values)))
+    return NormalizedState(LatticeFunction(values / length))
 
 
 def price_distribution(state: NormalizedState) -> ProbabilityVector:

@@ -4,11 +4,12 @@ The comb
 
     gamma_kappa(n) = sum_m exp(-kappa*pi/N * (m*N + n)^2)
 
-is N-periodic, strictly positive, and expressible through the theta
-series as gamma_kappa(n) = theta3(n/N, i/(kappa*N)) / sqrt(kappa*N).
-Its transform stays in the family, F[gamma_kappa] = gamma_{1/kappa} /
-sqrt(kappa), so the normalized comb Upsilon_kappa = gamma_kappa /
-||gamma_kappa|| satisfies F[Upsilon_kappa] = Upsilon_{1/kappa}. A packet
+is N-periodic, positive in exact arithmetic (entries far from a peak may
+underflow to 0), and expressible through the theta series as
+gamma_kappa(n) = theta3(n/N, i/(kappa*N)) / sqrt(kappa*N). Its transform
+stays in the family, F[gamma_kappa] = gamma_{1/kappa} / sqrt(kappa), so
+the normalized comb Upsilon_kappa = gamma_kappa / ||gamma_kappa||
+satisfies F[Upsilon_kappa] = Upsilon_{1/kappa}. A packet
 
     Psi(n) = exp(2*pi*i*k0*n/N) * Upsilon_kappa(n - n0)
 
@@ -99,7 +100,8 @@ def _translate_window(kappa: float, size: int) -> int:
 
 
 def gamma_state(params: ThetaParams) -> LatticeFunction:
-    """Unnormalized Gaussian comb; real and strictly positive.
+    """Unnormalized Gaussian comb; real, and positive in exact arithmetic;
+    entries far from a peak may underflow to 0.
 
     For kappa*N >= 1 it is the translate sum, a few translates wide. Below
     that the translates would number ~1/(kappa*N), so the comb is summed

@@ -196,7 +196,7 @@ def test_criterion_9_transform_oracle_equivalence(capsys):
     rng = np.random.default_rng(107)
     worst = 0.0
     for size in (8, 13, 21, 64, 101):
-        plan = FourierPlan(size, "forward", "fft")
+        plan = FourierPlan(size, "forward")
         for _ in range(100):
             phi = random_lattice_function(rng, size)
             fast = plan.apply(phi.values)

@@ -145,6 +145,25 @@ def test_state_writes_the_step_zero_record_of_evolve(size, kappa, n0, k0):
         assert outputs["state"] == outputs["evolve"]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_state_record_starts_at_the_scenario_t0(tmp_path, fmt):
+    outputs = {}
+    for command in ("state", "evolve"):
+        path = tmp_path / f"{command}.{fmt}"
+        doc = {
+            "N": 4,
+            "state": {"type": "delta", "m": 1},
+            "evolution": {"mu": 1.0, "dt": 0.5, "steps": 1, "t0": 5.0},
+            "output": {"format": fmt, "path": str(path)},
+        }
+        assert run_cli(["--quiet", command, "--config", write_config(tmp_path, doc)]) == 0
+        if fmt == "json":
+            outputs[command] = json.loads(path.read_text())["records"][0]
+        else:
+            outputs[command] = read_csv(tmp_path / f"{command}_summary.csv")[1][0]
+    assert outputs["state"] == outputs["evolve"]
+
+
 def test_spectrum_row_11(capsys):
     assert run_cli(["spectrum", "--n", "21"]) == 0
     lines = capsys.readouterr().out.splitlines()

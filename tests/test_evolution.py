@@ -25,16 +25,13 @@ from stockwave import (
     gaussian_packet,
     hermitian_eigensystem,
     inverse,
-    kinetic_half_step,
     normalize,
     owner_distribution,
-    potential_full_step,
     price_distribution,
     static_hamiltonian,
-    strang_step,
 )
 from stockwave import evolution
-from stockwave.evolution import _kicks, _observed, _phases, _potential_phase, _strang_segment
+from stockwave.evolution import _kicks, _observed, _phases, _strang_segment
 from helpers import primes_to, random_lattice_function
 
 
@@ -42,10 +39,17 @@ def fig2_packet():
     return gaussian_packet(PacketParams(ThetaParams(2.0 / 3.0, 21), 7, 14))
 
 
+def _step(values, t_mid, dt, mu, potential):
+    """One unfused Strang step, V sampled at t_mid: the integrator's own
+    segment with a single phase."""
+    phase = _phases(potential, values.size, dt)(t_mid)
+    return _strang_segment(values, (phase,), *_kicks(values.size, dt, mu))
+
+
 def test_kinetic_on_owner_eigenstate_is_global_phase():
     size, m, dt, mu = 21, 4, 0.3, 1.0
     eigen = inverse(delta_state(m, size).base)
-    out = kinetic_half_step(eigen, dt, mu)
+    out = LatticeFunction(_kicks(size, dt, mu)[0](eigen.values))
     phase = np.exp(-1j * (dt / 2.0) * m * m / (2.0 * mu))
     assert np.max(np.abs(out.values - phase * eigen.values)) < 1e-13
     from stockwave import NormalizedState
@@ -57,22 +61,18 @@ def test_kinetic_on_owner_eigenstate_is_global_phase():
 def test_kinetic_zero_dt_is_identity():
     rng = np.random.default_rng(71)
     phi = random_lattice_function(rng, 21)
-    out = kinetic_half_step(phi, 0.0, 1.0)
-    assert np.max(np.abs(out.values - phi.values)) < 1e-13
+    out = _kicks(21, 0.0, 1.0)[0](phi.values)
+    assert np.max(np.abs(out - phi.values)) < 1e-13
 
 
 def test_kinetic_double_half_is_full_step():
     rng = np.random.default_rng(73)
+    half_kick, full_kick = _kicks(21, 0.4, 2.0)
     for _ in range(5):
         phi = random_lattice_function(rng, 21)
-        twice = kinetic_half_step(kinetic_half_step(phi, 0.4, 2.0), 0.4, 2.0)
-        once = kinetic_half_step(phi, 0.8, 2.0)
-        assert np.max(np.abs(twice.values - once.values)) < 1e-12
-
-
-def test_kinetic_rejects_nonpositive_mu():
-    with pytest.raises(ValueError):
-        kinetic_half_step(delta_state(0, 4).base, 0.1, 0.0)
+        twice = half_kick(half_kick(phi.values))
+        once = full_kick(phi.values)
+        assert np.max(np.abs(twice - once)) < 1e-12
 
 
 @pytest.mark.parametrize("t0, dt, steps", [
@@ -93,7 +93,7 @@ def test_kick_phase_overflow_raises_one_error():
     with pytest.raises(NumericalConsistencyError, match="kinetic phase is not finite"):
         list(evolve(delta_state(1, 3), params, ZeroPotential()))
     with pytest.raises(NumericalConsistencyError, match="kinetic phase is not finite"):
-        kinetic_half_step(delta_state(1, 3).base, 1e308, 0.25)
+        _kicks(3, 1e308, 0.25)
     # the largest k decides: at N = 2 the same step is finite
     assert len(list(evolve(delta_state(1, 2), params, ZeroPotential()))) == 2
     # 1 / (2 mu) overflows, so even k = 0 gives 0 * inf
@@ -104,31 +104,31 @@ def test_kick_phase_overflow_raises_one_error():
 def test_potential_zero_is_identity():
     rng = np.random.default_rng(79)
     phi = random_lattice_function(rng, 13)
-    out = potential_full_step(phi, 0.7, ZeroPotential(), 0.0)
-    assert np.array_equal(out.values, phi.values)
+    out = phi.values * _phases(ZeroPotential(), 13, 0.7)(0.0)
+    assert np.array_equal(out, phi.values)
 
 
 def test_potential_step_preserves_price_probabilities():
     rng = np.random.default_rng(83)
     phi = random_lattice_function(rng, 21)
-    out = potential_full_step(phi, 0.9, HarmonicPotential(10.0, 1.3), 0.2)
-    assert np.max(np.abs(np.abs(out.values) ** 2 - np.abs(phi.values) ** 2)) < 1e-13
+    out = phi.values * _phases(HarmonicPotential(10.0, 1.3), 21, 0.9)(0.2)
+    assert np.max(np.abs(np.abs(out) ** 2 - np.abs(phi.values) ** 2)) < 1e-13
 
 
 def test_constant_potential_is_global_phase():
     rng = np.random.default_rng(89)
     phi = random_lattice_function(rng, 8)
     c, dt = 2.5, 0.4
-    out = potential_full_step(phi, dt, TabulatedPotential((c,) * 8), 0.0)
-    assert np.max(np.abs(out.values - np.exp(-1j * dt * c) * phi.values)) < 1e-13
+    out = phi.values * _phases(TabulatedPotential((c,) * 8), 8, dt)(0.0)
+    assert np.max(np.abs(out - np.exp(-1j * dt * c) * phi.values)) < 1e-13
 
 
 def test_strang_with_zero_potential_is_pure_kinetic():
     packet = fig2_packet()
-    params = EvolutionParams(mu=1.0, dt=0.05, steps=1)
-    split = strang_step(packet.base, 0.0, params, ZeroPotential())
-    pure = kinetic_half_step(kinetic_half_step(packet.base, 0.05, 1.0), 0.05, 1.0)
-    assert np.array_equal(split.values, pure.values)
+    split = _step(packet.values, 0.025, 0.05, 1.0, ZeroPotential())
+    half_kick = _kicks(21, 0.05, 1.0)[0]
+    pure = half_kick(half_kick(packet.values))
+    assert np.array_equal(split, pure)
 
 
 @pytest.mark.parametrize("size", [21, 64])
@@ -139,9 +139,10 @@ def test_strang_step_is_evolve_first_step(size):
         HarmonicPotential(center=size / 2.0, strength=0.2),
         ModulatedPotential(LinearPotential(slope=0.3), amplitude=1.5, omega=2.0),
     ):
-        stepped = strang_step(phi0.base, params.t0, params, potential)
+        t_mid = params.t0 + params.dt / 2.0
+        stepped = _step(phi0.values, t_mid, params.dt, params.mu, potential)
         first = list(evolve(phi0, params, potential))[-1]
-        assert np.array_equal(stepped.values, first.state.values)
+        assert np.array_equal(stepped, first.state.values)
 
 
 def test_strang_matches_exact_propagator():
@@ -206,12 +207,13 @@ def test_fused_segments_match_repeated_strang_steps(size, record_every):
     phi0 = gaussian_packet(PacketParams(ThetaParams(1.0, size), size // 3, 2))
     params = EvolutionParams(mu=0.8, dt=0.01, steps=20, t0=0.3)
     potential = _modulated_trap(size)
-    values = phi0.base
+    values = phi0.values
     for step in range(params.steps):
-        values = strang_step(values, params.t0 + step * params.dt, params, potential)
+        t_mid = params.t0 + step * params.dt + params.dt / 2.0
+        values = _step(values, t_mid, params.dt, params.mu, potential)
     final = list(evolve(phi0, params, potential, record_every))[-1]
     assert final.step == params.steps
-    assert np.max(np.abs(final.state.values - values.values)) < 1e-12
+    assert np.max(np.abs(final.state.values - values)) < 1e-12
 
 
 @pytest.mark.parametrize("record_every", [1, 7])  # 1000: test_strang_matches_exact_propagator
@@ -317,13 +319,9 @@ def test_fused_segment_is_time_reversible(size, steps, dt, mu, seed):
     phi = phi / np.linalg.norm(phi)
     potential = _modulated_trap(size)
     t_mids = [0.2 + (step + 0.5) * dt for step in range(steps)]
-    there = _strang_segment(
-        phi, (_potential_phase(potential, size, dt, t) for t in t_mids), *_kicks(size, dt, mu)
-    )
+    there = _strang_segment(phi, map(_phases(potential, size, dt), t_mids), *_kicks(size, dt, mu))
     back = _strang_segment(
-        there,
-        (_potential_phase(potential, size, -dt, t) for t in reversed(t_mids)),
-        *_kicks(size, -dt, mu),
+        there, map(_phases(potential, size, -dt), reversed(t_mids)), *_kicks(size, -dt, mu)
     )
     assert np.max(np.abs(back - phi)) < 1e-12
 
@@ -433,7 +431,7 @@ def test_potential_phase_matches_complex_exp(dt):
     rng = np.random.default_rng(17)
     values = np.concatenate([rng.uniform(-1e4, 1e4, 5000), rng.normal(size=5000), [0.0, -0.0]])
     potential = TabulatedPotential(tuple(values))
-    phase = _potential_phase(potential, values.size, dt, 0.0)
+    phase = _phases(potential, values.size, dt)(0.0)
     assert np.max(np.abs(phase - np.exp(-1j * dt * values))) <= 1e-15
     assert np.max(np.abs(np.abs(phase) - 1.0)) <= 1e-15
 
@@ -580,13 +578,10 @@ def test_time_reversal_returns_initial_state():
     packet = fig2_packet()
     mu, dt = 1.0, 0.01
     potential = HarmonicPotential(center=10.0, strength=0.5)
-    params = EvolutionParams(mu=mu, dt=dt, steps=1)
-    fwd = strang_step(packet.base, 0.0, params, potential)
+    fwd = _step(packet.values, dt / 2.0, dt, mu, potential)
     # undo with -dt, sampling the potential at the same midpoint
-    back = kinetic_half_step(fwd, -dt, mu)
-    back = potential_full_step(back, -dt, potential, dt / 2.0)
-    back = kinetic_half_step(back, -dt, mu)
-    assert np.max(np.abs(back.values - packet.values)) < 1e-10
+    back = _step(fwd, dt / 2.0, -dt, mu, potential)
+    assert np.max(np.abs(back - packet.values)) < 1e-10
 
 
 def test_energy_conserved_for_static_potential():

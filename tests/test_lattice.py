@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,14 +109,32 @@ def test_normalize_accepts_any_finite_magnitude(values, expected):
     assert np.allclose(result.values, expected, rtol=1e-15, atol=0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values, expected", [
+    # the squares overflowed: a warning and a norm of inf
+    ([1e200, 1e200, 0.0], math.hypot(1e200, 1e200)),
+    ([1e308j, -1e308], math.hypot(1e308, 1e308)),
+    # the squares underflowed to a zero norm
+    ([1e-200, 1e-200j], math.hypot(1e-200, 1e-200)),
+    # a subnormal square gave a norm 5% off
+    ([3e-162, 0.0, 0.0], 3e-162),
+    ([0.0, 5e-324], 5e-324),
+    # the norm itself is beyond the float range
+    ([1.7e308 + 1.7e308j, -1.7e308], math.inf),
+])
+def test_norm_accepts_any_finite_magnitude(values, expected):
+    assert norm(LatticeFunction(values)) == pytest.approx(expected, rel=1e-15, abs=0)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(hnp.arrays(np.complex128, st.integers(1, 64), elements=st.complex_numbers(
     min_magnitude=1e-99, max_magnitude=1e99, allow_nan=False, allow_infinity=False,
 )))
 def test_normalize_of_ordinary_magnitudes_is_the_plain_quotient(values):
-    # bitwise what normalize gave before it rescaled extreme amplitudes
+    # bitwise what norm and normalize gave before they rescaled extreme amplitudes
     result = normalize(LatticeFunction(values))
     assert np.array_equal(result.values, values / np.linalg.norm(values))
+    assert norm(LatticeFunction(values)) == float(np.linalg.norm(values))
 
 
 def test_normalize_zero_rejected():
