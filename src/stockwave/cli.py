@@ -11,21 +11,23 @@ state and evolve write through one sink, CSV or JSON per the scenario,
 used as a with-block. A sink takes a whole RecordBlock, as
 evolution.record_blocks yields them (state writes a block of one), so
 memory stays O(N) whatever the record count, and writes it record by
-record. The CSV sink lays out a table of records as two uint8 matrices,
-the distribution rows and the summary rows: each record's "step,t,"
-prefix, a cached "n," column per N, the number fields and the
-separators, all zero-padded. A table is one numfmt.encode pass: it
-formats every number of the table, each record's t included, and the t
-field is cut to its widest text. One bytes.translate strips the padding
-of a whole matrix, and the text is cut at the records' cumulative
-lengths, so each record is still one write per file. A table holds the
-records whose numbers, t included, fill one numfmt.CHUNK (at least one
-record), so its bytes stay O(CHUNK + N). The JSON sink converts the
-block's arrays to Python floats with one tolist each. An exception that
-aborts the with-block ends the partial output, whole records only, in a
-truncation marker (a TRUNCATED row, or "truncated": true) and closes
-it; every record before the failure is written first. Status lines go
-to stdout only when the output goes to a file.
+record: the block's marks, both distributions and its summary, whose
+columns are SUMMARY_FIELDS, norm_error last. The CSV sink lays out a
+table of records as two uint8 matrices, the distribution rows and the
+summary rows: each record's "step,t," prefix, a cached "n," column per
+N, the number fields and the separators, all zero-padded. A table is one
+numfmt.encode pass: it formats every number of the table, each record's
+t included, and the t field is cut to its widest text. One
+bytes.translate strips the padding of a whole matrix, and the text is
+cut at the records' cumulative lengths, so each record is still one
+write per file. A table holds the records whose numbers, t included,
+fill one numfmt.CHUNK (at least one record), so its bytes stay
+O(CHUNK + N). The JSON sink converts the block's arrays to Python
+floats with one tolist each. An exception that aborts the with-block
+ends the partial output, whole records only, in a truncation marker (a
+TRUNCATED row, or "truncated": true) and closes it; every record before
+the failure is written first. Status lines go to stdout only when the
+output goes to a file.
 
 Exit codes: 0 success, 1 usage or schema problem, 2 numerical invariant
 violation, 3 I/O failure. All emitted numbers are deterministic for a
@@ -46,8 +48,8 @@ import numpy as np
 
 from . import numfmt
 from .errors import StockwaveError
-from .operators import MAX_DENSE_SIZE, SUMMARY_COLUMNS, commutator_spectrum
-from .evolution import record_blocks, state_record, uncertainty_product_report
+from .operators import MAX_DENSE_SIZE, commutator_spectrum
+from .evolution import SUMMARY_FIELDS, record_blocks, state_record, uncertainty_product_report
 from .scenario import Scenario, ScenarioError, build_initial_state, parse_scenario
 
 EXIT_OK = 0
@@ -56,7 +58,6 @@ EXIT_NUMERIC = 2
 EXIT_IO = 3
 
 DIST_HEADER = "step,t,n,prob_price,prob_owner"
-SUMMARY_FIELDS = [*SUMMARY_COLUMNS, "norm_error"]
 SUMMARY_HEADER = "step,t," + ",".join(SUMMARY_FIELDS)
 TRUNCATION_MARKER = "TRUNCATED"
 
@@ -141,20 +142,6 @@ def _record_texts(table: np.ndarray):
     return (text[start:end] for start, end in zip([0, *ends], ends))
 
 
-def _block_rows(block):
-    """(mark, prob_price, prob_owner, summary) per record of a RecordBlock,
-    the values as Python floats from one tolist per array and the summary
-    in SUMMARY_FIELDS order; adding 0.0 folds -0.0 as format_number does."""
-    observables = block.observables
-    summary = np.column_stack((observables.summary, block.norm_errors)) + 0.0
-    return zip(
-        block.marks,
-        (observables.prob_price + 0.0).tolist(),
-        (observables.prob_owner + 0.0).tolist(),
-        summary.tolist(),
-    )
-
-
 class _CsvSink(contextlib.AbstractContextManager):
     """Distributions at the scenario path, summary at a _summary sibling;
     both are written record by record. Without a path the distributions
@@ -177,16 +164,14 @@ class _CsvSink(contextlib.AbstractContextManager):
             self._files = files.pop_all()
 
     def write_block(self, block):
-        observables = block.observables
-        summary = np.column_stack((observables.summary, block.norm_errors))
-        size = observables.prob_price.shape[1]
+        size = block.prob_price.shape[1]
         # a table holds the records whose numbers, t included, fill one
         # kernel chunk, or one
-        records = max(1, numfmt.CHUNK // (2 * size + summary.shape[1] + 1))
-        for start in range(0, len(block.marks), records):
+        records = max(1, numfmt.CHUNK // (2 * size + len(SUMMARY_FIELDS) + 1))
+        for start in range(0, len(block), records):
             rows = slice(start, start + records)
-            prices, owners = observables.prob_price[rows], observables.prob_owner[rows]
-            self._write_table(block.marks[rows], prices, owners, summary[rows])
+            prices, owners = block.prob_price[rows], block.prob_owner[rows]
+            self._write_table(block.marks[rows], prices, owners, block.summary[rows])
 
     def _write_table(self, marks, prob_price, prob_owner, summary):
         records, size = prob_price.shape
@@ -229,7 +214,8 @@ class _JsonSink(contextlib.AbstractContextManager):
         self._empty = True
 
     def write_block(self, block):
-        for (step, t), prices, owners, summary in _block_rows(block):
+        lists = block.prob_price.tolist(), block.prob_owner.tolist(), block.summary.tolist()
+        for (step, t), prices, owners, summary in zip(block.marks, *lists):
             record = {
                 "step": step,
                 "t": _rounded(t),
@@ -313,7 +299,7 @@ def cmd_evolve(scenario: Scenario, quiet: bool) -> int:
         ):
             sink.write_block(block)
             count += len(block)
-            max_norm_error = max(max_norm_error, block.norm_errors.max().item())
+            max_norm_error = max(max_norm_error, block.summary[:, -1].max().item())
             del block  # freed before the next block is computed
     if not quiet and scenario.output.path is not None:
         print(f"evolve: {count} records, max norm_error {format_number(max_norm_error)}")

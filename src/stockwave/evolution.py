@@ -24,7 +24,9 @@ states of consecutive records into one read-only (B, N) array, takes
 its observables (``block_observables``, one np.fft pair along the last
 axis) and checks its norm drift and Robertson bound once per block, in
 ``_observed``, the one check of the library's report and of every CLI
-record, and hands the block on whole, as the CLI sinks write it.
+record. It hands the block on whole, as one RecordBlock of the arrays the
+CLI sinks write: the marks, the states, both distributions and one
+summary array, the norm errors as its last column.
 ``evolve`` flattens the blocks into one TrajectoryRecord per row, each
 viewing its row and bitwise what a block of one would give. On a failure
 the records before it are handed on first. The oracle's kinetic term
@@ -51,7 +53,7 @@ from .errors import (
 )
 from .fourier import circulant, circulant_matrix
 from .lattice import NORM_DRIFT_TOL, LatticeFunction, NormalizedState
-from .operators import BlockObservables, LinearOperatorRepr, UncertaintyReport, block_observables
+from .operators import LinearOperatorRepr, UncertaintyReport, block_observables
 
 PROPAGATOR_UNITARITY_FACTOR = 1e-10
 # The relation holds for every state, so a product under the Robertson
@@ -80,6 +82,11 @@ RECORD_BLOCK_SIZE = 2**12
 # (2-core x86-64 VM), so this is the smallest power of two at which that
 # costs under 1% of the integration.
 RECORD_BLOCK_STEPS = 2**13
+# The columns of a record block's summary: the report's scalars, in
+# UncertaintyReport order, and the raw norm error last.
+SUMMARY_FIELDS = (
+    "mean_price", "mean_owner", "delta_price", "delta_owner", "product", "bound", "norm_error",
+)
 
 
 class Potential:
@@ -295,27 +302,25 @@ def _checked(values_at: Callable, size: int, where: str = "") -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class RecordBlock:
     """Consecutive records of one run as arrays: their (step, time) marks,
-    the read-only (B, N) states, the (B,) raw norm errors and the block's
-    observables. ``records`` gives the TrajectoryRecord of each row."""
+    the read-only (B, N) states, both (B, N) distributions and the (B, 7)
+    summary, one column per SUMMARY_FIELDS entry, the raw norm error last.
+    ``records`` gives the TrajectoryRecord of each row."""
 
     marks: list
     states: np.ndarray
-    norm_errors: np.ndarray
-    observables: BlockObservables
+    prob_price: np.ndarray
+    prob_owner: np.ndarray
+    summary: np.ndarray
 
     def __len__(self) -> int:
         return len(self.marks)
 
     def records(self) -> Iterator[TrajectoryRecord]:
         """One record per row, in order; states and reports view the block."""
-        obs = self.observables
-        rows = zip(
-            self.states, self.marks, self.norm_errors.tolist(), obs.prob_price, obs.prob_owner,
-            obs.summary.tolist(), obs.saturated.tolist(),
-        )
-        for values, (step, time), norm_error, price, owner, scalars, saturated in rows:
+        rows = zip(self.states, self.marks, self.prob_price, self.prob_owner, self.summary.tolist())
+        for values, (step, time), price, owner, (*scalars, norm_error) in rows:
             state = NormalizedState._trusted(LatticeFunction._trusted(values))
-            report = UncertaintyReport(price, owner, *scalars, saturated)
+            report = UncertaintyReport(price, owner, *scalars)
             yield TrajectoryRecord(step, time, state, report, norm_error)
 
 
@@ -330,14 +335,15 @@ def _observed(block: np.ndarray, marks: list) -> tuple[RecordBlock, Exception | 
     (ROBERTSON_SLACK, or ROBERTSON_ROUNDING ||P Phi|| ||O Phi||). Drift is
     checked for the whole block at once; the observables of the rows
     before the first drifted one come from one ``block_observables``
-    call. The block is made read-only and the prefix views it.
+    call; the prefix's norm errors are appended to its summary. The block
+    is made read-only and the prefix views it.
     """
     block.setflags(write=False)
-    norm_errors = np.abs(np.sqrt((block.real ** 2 + block.imag ** 2).sum(axis=-1)) - 1.0)
-    drifted = np.flatnonzero(~(norm_errors <= NORM_DRIFT_TOL))  # NaN drifts too
+    drift = np.abs(np.sqrt((block.real ** 2 + block.imag ** 2).sum(axis=-1)) - 1.0)
+    drifted = np.flatnonzero(~(drift <= NORM_DRIFT_TOL))  # NaN drifts too
     rows = int(drifted[0]) if drifted.size else len(marks)
-    obs = block_observables(block[:rows])
-    mean_price, mean_owner, d_price, d_owner, product, bound = obs.summary.T  # SUMMARY_COLUMNS
+    prob_price, prob_owner, summary = block_observables(block[:rows])
+    mean_price, mean_owner, d_price, d_owner, product, bound = summary.T
     # ||P Phi|| ||O Phi||, the root mean squares of the two distributions
     scale = np.hypot(mean_price, d_price) * np.hypot(mean_owner, d_owner)
     slack = np.maximum(ROBERTSON_SLACK, ROBERTSON_ROUNDING * scale)
@@ -349,12 +355,11 @@ def _observed(block: np.ndarray, marks: list) -> tuple[RecordBlock, Exception | 
         )
     elif rows < len(marks):
         error = ConservationError(
-            f"norm drifted by {norm_errors[rows].item()!r} at t = {marks[rows][1]!r}"
+            f"norm drifted by {drift[rows].item()!r} at t = {marks[rows][1]!r}"
         )
-    obs = BlockObservables(
-        obs.prob_price[:rows], obs.prob_owner[:rows], obs.summary[:rows], obs.saturated[:rows]
-    )
-    return RecordBlock(marks[:rows], block[:rows], norm_errors[:rows], obs), error
+    summary = np.column_stack((summary[:rows], drift[:rows]))
+    prefix = RecordBlock(marks[:rows], block[:rows], prob_price[:rows], prob_owner[:rows], summary)
+    return prefix, error
 
 
 def state_record(state: NormalizedState, t0: float) -> RecordBlock:

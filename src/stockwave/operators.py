@@ -9,12 +9,13 @@ i*N/(2*pi) for large N.
 The observables are matrix-free, O(N) memory and O(N log N) work per
 state. ``block_observables`` takes a (B, N) block of states, as evolve
 buffers them, through np.fft along the last axis and row sums, and
-returns them as arrays: both (B, N) distributions and the per-row scalar
-columns. Each row is bitwise what a block of one gives; a single state is
-B = 1. This module only computes: which rows are valid records, and the
-Robertson check that decides it, live in ``evolution._observed``. The
-dense N x N operators serve the spectrum path and act as oracles; they
-are built per call in O(N^2), with no matrix product and no cache.
+returns the tuple (prob_price, prob_owner, summary): both (B, N)
+distributions and the (B, 6) scalar columns. Each row is bitwise what a
+block of one gives; a single state is B = 1. This module only computes:
+which rows are valid records, and the Robertson check that decides it,
+live in ``evolution._observed``. The dense N x N operators serve the
+spectrum path and act as oracles; they are built per call in O(N^2),
+with no matrix product and no cache.
 """
 from __future__ import annotations
 
@@ -33,8 +34,6 @@ EXPECTATION_IMAG_TOL = 1e-10
 # share of the product, so two spreads of round-off are not saturated
 # merely because their product is tiny.
 SATURATION_WINDOW = 1e-6
-# The scalar columns of a block's observables, in UncertaintyReport order.
-SUMMARY_COLUMNS = ("mean_price", "mean_owner", "delta_price", "delta_owner", "product", "bound")
 SPECTRUM_RESIDUAL_FACTOR = 1e-8
 # Largest lattice for the dense spectrum path. commutator_spectrum peaks
 # at about seven live N x N complex matrices (tracemalloc after a warm-up,
@@ -104,19 +103,11 @@ class UncertaintyReport:
     delta_owner: float
     product: float
     bound: float
-    saturated: bool
 
-
-@dataclass(frozen=True, eq=False)
-class BlockObservables:
-    """The observables of a (B, N) block of states, one row per state: both
-    (B, N) distributions, the (B, 6) scalar columns in SUMMARY_COLUMNS
-    order and the (B,) saturation flags; unchecked."""
-
-    prob_price: np.ndarray
-    prob_owner: np.ndarray
-    summary: np.ndarray
-    saturated: np.ndarray
+    @property
+    def saturated(self) -> bool:
+        """Whether the product meets the bound, within SATURATION_WINDOW."""
+        return self.product - self.bound <= SATURATION_WINDOW * self.product
 
 
 def price_operator(size: int) -> LinearOperatorRepr:
@@ -212,8 +203,10 @@ def commutator_spectrum(size: int) -> SpectrumResult:
     return SpectrumResult(eigenvalues=eigenvalues, residual=residual)
 
 
-def block_observables(block: np.ndarray) -> BlockObservables:
-    """Every per-record observable of each row of a (B, N) block of states.
+def block_observables(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every per-record observable of each row of a (B, N) block of states:
+    (prob_price, prob_owner, summary), the (B, N) distributions and the
+    (B, 6) scalar columns in UncertaintyReport order, mean_price to bound.
 
     Matrix-free and row by row independent of the block: the owner
     amplitudes A = F Phi come from np.fft along the last axis, and every
@@ -238,10 +231,8 @@ def block_observables(block: np.ndarray) -> BlockObservables:
     cross -= block.imag * owner_image.real
     cross *= levels
     bound = np.abs(cross.sum(axis=-1))
-    product = d_price * d_owner
-    saturated = product - bound <= SATURATION_WINDOW * product
-    summary = np.column_stack((mean_price, mean_owner, d_price, d_owner, product, bound))
-    return BlockObservables(prob_price, prob_owner, summary, saturated)
+    summary = np.column_stack((mean_price, mean_owner, d_price, d_owner, d_price * d_owner, bound))
+    return prob_price, prob_owner, summary
 
 
 def _moments(levels: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

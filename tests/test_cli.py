@@ -8,7 +8,6 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -798,15 +797,14 @@ def test_evolve_step_labels_at_large_t0(tmp_path):
 
 
 def one_record_block(step, t, prob_price, prob_owner, summary, norm_error):
-    """A RecordBlock-shaped block of one record with every summary column
-    (but norm_error) set to ``summary``."""
-    observables = SimpleNamespace(
+    """A RecordBlock of one record with every summary column (but
+    norm_error) set to ``summary``; the sinks do not read its state."""
+    return evolution.RecordBlock(
+        marks=[(step, t)],
+        states=np.zeros((1, len(prob_price)), np.complex128),
         prob_price=prob_price[None, :],
         prob_owner=prob_owner[None, :],
-        summary=np.full((1, len(cli.SUMMARY_FIELDS) - 1), summary),
-    )
-    return SimpleNamespace(
-        marks=[(step, t)], norm_errors=np.array([norm_error]), observables=observables
+        summary=np.array([[summary] * (len(cli.SUMMARY_FIELDS) - 1) + [norm_error]]),
     )
 
 

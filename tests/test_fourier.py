@@ -251,7 +251,7 @@ def test_auto_transforms_keep_norm_and_have_period_four(size, seed):
     # the observables' transform, bit for bit
     probs = np.abs(owner.values) ** 2
     assert np.array_equal(probs, owner_distribution(NormalizedState(phi)).probs)
-    assert np.array_equal(probs, block_observables(phi.values[None]).prob_owner[0])
+    assert np.array_equal(probs, block_observables(phi.values[None])[1][0])
     # a unit state, so the bounds are relative to the norm
     assert np.max(np.abs(inverse(owner).values - phi.values)) < 1e-14
     fourth = phi
