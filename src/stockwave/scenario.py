@@ -24,8 +24,17 @@ from .evolution import (
     TabulatedPotential, ZeroPotential,
 )
 from .lattice import LatticeFunction, NormalizedState, normalize
-from .operators import MAX_LATTICE_SIZE
 from .states import PacketParams, ThetaParams, delta_state, gaussian_packet
+
+# Largest lattice for a scenario; state, uncertainty and evolve are O(N).
+# Their CLI peak (tracemalloc after a warm-up, N in {1024, 1031, 4099,
+# 16411}, primes zero-padded) is largest for a JSON evolve of a custom
+# state under a modulated tabulated trap (a comb at kappa*N = 1: ~70 B
+# less): ~600 B per level from N = 4099, where a record block holds one
+# record, and ~890 B at N = 1031, where it holds three and the sink's
+# lists of a block (at most 2^12 amplitudes) weigh more per level.
+# 600 B * 2^20 = 600 MiB of a 1 GiB budget.
+MAX_LATTICE_SIZE = 2**20
 
 
 class ScenarioError(ValueError):

@@ -23,8 +23,7 @@ from stockwave import (
     evolve,
     operators,
 )
-from stockwave.operators import MAX_LATTICE_SIZE
-from stockwave.scenario import build_initial_state, parse_scenario
+from stockwave.scenario import MAX_LATTICE_SIZE, build_initial_state, parse_scenario
 from helpers import primes_to
 
 

@@ -23,7 +23,7 @@ from stockwave import (
     parse_scenario,
     serialize_scenario,
 )
-from stockwave.operators import MAX_LATTICE_SIZE
+from stockwave.scenario import MAX_LATTICE_SIZE
 
 MINIMAL = '{"N": 21, "state": {"type": "delta", "m": 7}}'
 
