@@ -40,7 +40,6 @@ import contextlib
 import functools
 import io
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -85,10 +84,12 @@ def _rounded(x: float) -> float:
 
 def _format_eigenvalue(value: float) -> str:
     # table-style print: 12 decimals truncated toward zero; rounding would
-    # flip the boundary digits of the plateau eigenvalues
-    scaled = math.trunc(value * 1e12)
-    sign = "-" if scaled < 0 else ""
-    whole, frac = divmod(abs(scaled), 10**12)
+    # flip the boundary digits of the plateau eigenvalues. The product is
+    # exact: value * 1e12 in floating point rounds before it truncates.
+    numerator, denominator = value.as_integer_ratio()
+    scaled = abs(numerator) * 10**12 // denominator
+    sign = "-" if numerator < 0 and scaled else ""  # no "-0.000000000000"
+    whole, frac = divmod(scaled, 10**12)
     return f"{sign}{whole}.{frac:012d}"
 
 

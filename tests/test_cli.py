@@ -7,6 +7,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,28 @@ def test_spectrum_row_11(capsys):
     index, value = lines[10].split(",")
     assert index == "11"
     assert value == "3.342253804929"
+
+
+@pytest.mark.parametrize("value, text", [
+    (685.3032613873299, "685.303261387329"),  # spectrum --n 101, row 100
+    (234.916782144276, "234.916782144275"),  # spectrum --n 32, row 32: just under ...276
+])
+def test_spectrum_rows_truncate_the_exact_value(value, text):
+    # value * 1e12 rounds up to the next integer in floating point
+    assert cli._format_eigenvalue(value) == text
+
+
+@given(st.floats(min_value=-1e6, max_value=1e6))
+@example(-0.0)
+@example(-1e-13)
+@example(685.3032613873299)
+def test_spectrum_text_truncates_toward_zero(value):
+    text = cli._format_eigenvalue(value)
+    assert len(text.partition(".")[2]) == 12
+    printed, exact = Fraction(text), Fraction(value)
+    assert abs(printed) <= abs(exact) < abs(printed) + Fraction(1, 10**12)
+    assert printed * exact >= 0
+    assert text.startswith("-") == (printed < 0)  # no "-0.000000000000"
 
 
 def test_spectrum_n2_traceless(capsys):
