@@ -9,24 +9,26 @@ step is
 
 which is exactly unitary and second-order accurate in dt. Between two
 records the adjacent half kicks merge, K(dt/2) K(dt/2) = K(dt) (the
-Feit-Fleck-Steiger form), so a segment of m steps runs as
+Feit-Fleck-Steiger form), so the m steps between two records run as
 
     K(dt/2) . V . K(dt) . V . ... . K(dt) . V . K(dt/2)
 
-and the kicks split again only where a record is taken. Each kick
-F^-1 diag(K) F is a fixed cyclic convolution, built once per run by
+and the kicks split again only where a record is taken. One lazy
+generator, ``_strang_steps``, runs every step of a run this way and
+yields the state at each record step; it is the one step body. Each
+kick F^-1 diag(K) F is a fixed cyclic convolution, built once per run by
 ``fourier.circulant``: one dense product for N <= NAIVE_CUTOFF, otherwise
-one FFT pair, zero-padded when N has a large prime factor. A segment
-thus costs 2 transforms per step plus 2 per segment (one matrix product
-per step plus one for small N), and no step goes through the owner basis
-and back. Records are taken in blocks: ``record_blocks`` buffers the
-states of consecutive records into one read-only (B, N) array, takes
-its observables (``block_observables``, one np.fft pair along the last
-axis) and checks its norm drift and Robertson bound once per block, in
-``_observed``, the one check of the library's report and of every CLI
-record. It hands the block on whole, as one RecordBlock of the arrays the
-CLI sinks write: the marks, the states, both distributions and one
-summary array, the norm errors as its last column.
+one FFT pair, zero-padded when N has a large prime factor. A run thus
+costs 2 transforms per step plus 2 per record interval (one matrix
+product per step plus one for small N), and no step goes through the
+owner basis and back. Records are taken in blocks: ``record_blocks``
+buffers the states of consecutive records into one read-only (B, N)
+array, takes its observables (``block_observables``, one np.fft pair
+along the last axis) and checks its norm drift and Robertson bound once
+per block, in ``_observed``, the one check of the library's report and
+of every CLI record. It hands the block on whole, as one RecordBlock of
+the arrays the CLI sinks write: the marks, the states, both
+distributions and one summary array, the norm errors as its last column.
 ``evolve`` flattens the blocks into one TrajectoryRecord per row, each
 viewing its row and bitwise what a block of one would give. On a failure
 the records before it are handed on first. The oracle's kinetic term
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -274,18 +276,25 @@ def _phases(potential: Potential, size: int, dt: float) -> Callable[[float], np.
     return phase
 
 
-def _strang_segment(values, phases: Iterable[np.ndarray], half_kick, full_kick):
-    """Strang steps, one per potential phase exp(-i*dt*V(t_mid)), with the
-    inner half kicks merged: K(dt/2) . V . K(dt) . V ... V . K(dt/2).
+def _strang_steps(values, t0, dt, steps, record_every, phase, half_kick, full_kick):
+    """Strang steps of dt from t0, yielding (step, time, values) at step 0,
+    every ``record_every`` steps and at the last step.
 
-    The kicks are the circulant operators of ``_kicks``. ``phases`` is
-    consumed lazily; with one phase this is one Strang step.
+    Step s multiplies in the potential phase at its midpoint,
+    phase(t0 + (s - 1) * dt + dt / 2); between two records the inner half
+    kicks merge: K(dt/2) . V . K(dt) . V ... V . K(dt/2). The kicks are
+    the circulant operators of ``_kicks``. Lazy: a step runs only when the
+    record after it is asked for.
     """
+    yield 0, t0, values
     kick = half_kick
-    for phase in phases:
-        values = kick(values) * phase
-        kick = full_kick
-    return half_kick(values)
+    for step in range(1, steps + 1):
+        values = kick(values) * phase(t0 + (step - 1) * dt + dt / 2.0)
+        if step % record_every and step < steps:
+            kick = full_kick
+        else:
+            values, kick = half_kick(values), half_kick
+            yield step, t0 + step * dt, values
 
 
 def _checked(values_at: Callable, size: int, where: str = "") -> np.ndarray:
@@ -390,7 +399,7 @@ def record_blocks(
     integrated since the last block closed, whichever comes first. If a
     step or a record fails (norm drift beyond the conservation budget, a
     Robertson violation, a non-finite potential, or any exception from a
-    segment), the records before it are yielded first, as a block that
+    step), the records before it are yielded first, as a block that
     stays valid, and then the error is raised.
     """
     if record_every < 1:
@@ -418,20 +427,10 @@ def evolve(
 
 
 def _record_blocks(phi0, params, phase, record_every):
-    size, t0, dt = phi0.size, params.t0, params.dt
-    half_kick, full_kick = _kicks(size, dt, params.mu)
-
-    def recorded_states():
-        """(step, time, amplitudes) at each record, integrating on demand."""
-        values = phi0.values
-        yield 0, t0, values
-        for start in range(0, params.steps, record_every):
-            end = min(start + record_every, params.steps)
-            midpoints = (t0 + (step - 1) * dt + dt / 2.0 for step in range(start + 1, end + 1))
-            values = _strang_segment(values, map(phase, midpoints), half_kick, full_kick)
-            yield end, t0 + end * dt, values
-
-    states = recorded_states()
+    size, dt = phi0.size, params.dt
+    states = _strang_steps(
+        phi0.values, params.t0, dt, params.steps, record_every, phase, *_kicks(size, dt, params.mu)
+    )
     remaining, closed_at = 1 + -(-params.steps // record_every), 0
     while remaining:
         block = np.empty((min(remaining, max(1, RECORD_BLOCK_SIZE // size)), size), np.complex128)

@@ -546,14 +546,13 @@ def test_norm_drift_leaves_the_records_before_it(tmp_path, monkeypatch, capsys, 
     doc = failure_doc(steps=250)
     code, clean, truncated = evolve_records(tmp_path, doc, fmt)
     assert code == 0 and not truncated
-    segment, calls = evolution._strang_segment, []
+    strang_steps = evolution._strang_steps
 
     def drifting(*args):
-        calls.append(None)
-        values = segment(*args)
-        return values * 1.01 if len(calls) == drift_at else values
+        for record, (step, t, values) in enumerate(strang_steps(*args)):
+            yield step, t, values * 1.01 if record == drift_at else values
 
-    monkeypatch.setattr(evolution, "_strang_segment", drifting)
+    monkeypatch.setattr(evolution, "_strang_steps", drifting)
     code, records, truncated = evolve_records(tmp_path, doc, fmt)
     assert code == 2 and capsys.readouterr().err.startswith("stockwave: norm drifted by")
     assert truncated and records == clean[:drift_at]

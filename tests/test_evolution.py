@@ -31,7 +31,7 @@ from stockwave import (
     static_hamiltonian,
 )
 from stockwave import evolution
-from stockwave.evolution import _kicks, _observed, _phases, _strang_segment
+from stockwave.evolution import _kicks, _observed, _phases, _strang_steps
 from helpers import primes_to, random_lattice_function
 
 
@@ -41,9 +41,11 @@ def fig2_packet():
 
 def _step(values, t_mid, dt, mu, potential):
     """One unfused Strang step, V sampled at t_mid: the integrator's own
-    segment with a single phase."""
+    steps, run for one step with the phase at t_mid."""
     phase = _phases(potential, values.size, dt)(t_mid)
-    return _strang_segment(values, (phase,), *_kicks(values.size, dt, mu))
+    kicks = _kicks(values.size, dt, mu)
+    _, (_, _, stepped) = _strang_steps(values, 0.0, dt, 1, 1, lambda t: phase, *kicks)
+    return stepped
 
 
 def test_kinetic_on_owner_eigenstate_is_global_phase():
@@ -268,8 +270,8 @@ def test_fused_loop_transform_count(monkeypatch, steps, record_every):
 
 
 def test_fused_segment_memory_does_not_grow_with_steps():
-    # phases are evaluated one per step; a segment's list of them would
-    # hold 200 vectors here
+    # phases are evaluated one per step; a list of one record interval's
+    # phases would hold 200 vectors here
     size = 1031
     phi0 = gaussian_packet(PacketParams(ThetaParams(1.0, size), 300, 2))
     params = EvolutionParams(mu=1.0, dt=1e-4, steps=200)
@@ -284,8 +286,9 @@ def test_fused_segment_memory_does_not_grow_with_steps():
 
 
 def test_segment_memory_is_flat_in_record_every():
-    # a segment's midpoints are a generator; a list of them would hold
-    # record_every floats, ~590 KB more at 20 000 steps than at 2 000
+    # each step computes its own midpoint; a list of one record
+    # interval's midpoints would hold record_every floats, ~590 KB more
+    # at 20 000 steps than at 2 000
     size = 8
     phi0 = gaussian_packet(PacketParams(ThetaParams(1.0, size), 3, 2))
 
@@ -318,10 +321,12 @@ def test_fused_segment_is_time_reversible(size, steps, dt, mu, seed):
     phi = random_lattice_function(rng, size).values
     phi = phi / np.linalg.norm(phi)
     potential = _modulated_trap(size)
-    t_mids = [0.2 + (step + 0.5) * dt for step in range(steps)]
-    there = _strang_segment(phi, map(_phases(potential, size, dt), t_mids), *_kicks(size, dt, mu))
-    back = _strang_segment(
-        there, map(_phases(potential, size, -dt), reversed(t_mids)), *_kicks(size, -dt, mu)
+    t0, t1 = 0.2, 0.2 + steps * dt
+    *_, (_, _, there) = _strang_steps(
+        phi, t0, dt, steps, steps, _phases(potential, size, dt), *_kicks(size, dt, mu)
+    )
+    *_, (_, _, back) = _strang_steps(
+        there, t1, -dt, steps, steps, _phases(potential, size, -dt), *_kicks(size, -dt, mu)
     )
     assert np.max(np.abs(back - phi)) < 1e-12
 
@@ -400,14 +405,16 @@ def test_record_flags_norm_drift():
 def test_first_record_arrives_within_the_step_budget(monkeypatch, record_every):
     # at N = 21 a full block holds 195 records, the whole run of 100000
     # steps when records are 10000 steps apart
-    segment, integrated = evolution._strang_segment, []
+    strang_steps, integrated = evolution._strang_steps, []
 
-    def counting(values, phases, *kicks):
-        phases = list(phases)
-        integrated.append(len(phases))
-        return segment(values, phases, *kicks)
+    def counting(values, t0, dt, steps, every, phase, *kicks):
+        def counted(t):  # called once per step integrated
+            integrated.append(1)
+            return phase(t)
 
-    monkeypatch.setattr(evolution, "_strang_segment", counting)
+        return strang_steps(values, t0, dt, steps, every, counted, *kicks)
+
+    monkeypatch.setattr(evolution, "_strang_steps", counting)
     params = EvolutionParams(mu=1.0, dt=1e-3, steps=100_000)
     records = evolve(fig2_packet(), params, HarmonicPotential(10.0, 0.1), record_every)
     assert next(records).step == 0

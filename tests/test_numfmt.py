@@ -9,8 +9,11 @@ from stockwave import numfmt
 
 
 def texts(values):
-    """numfmt.encode's rows as strings, zero padding dropped."""
-    return [bytes(row[row != 0]).decode("ascii") for row in numfmt.encode(values)]
+    """numfmt.encode's rows as strings, each cut at its reported length;
+    every byte past that length must be zero padding."""
+    text, lengths = numfmt.encode(values)
+    assert not text[np.arange(numfmt.W) >= lengths[:, None]].any()
+    return [bytes(row[:length]).decode("ascii") for row, length in zip(text, lengths.tolist())]
 
 
 def reference(values):
