@@ -40,9 +40,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import io
 import json
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -153,15 +154,17 @@ def _record_texts(table: np.ndarray, lengths: np.ndarray):
 class _CsvSink(contextlib.AbstractContextManager):
     """Distributions at the scenario path, summary at a _summary sibling;
     both are written record by record. Without a path the distributions
-    stream to stdout and the summary table follows them at the end. Used
-    as a with-block: an exception leaving the block ends both tables in a
-    TRUNCATED row; the files are always closed."""
+    stream to stdout and the summary table, spooled to a temporary file,
+    follows them at the end. Used as a with-block: an exception leaving
+    the block ends both tables in a TRUNCATED row; the files are always
+    closed."""
 
     def __init__(self, path: str | None):
         self._to_stdout = path is None
         with contextlib.ExitStack() as files:
             if self._to_stdout:
-                self._dist_file, self._summary_file = sys.stdout, io.StringIO()
+                self._dist_file = sys.stdout
+                self._summary_file = files.enter_context(tempfile.TemporaryFile("w+", newline=""))
             else:
                 target = Path(path)
                 summary_target = target.with_name(target.stem + "_summary" + target.suffix)
@@ -210,7 +213,9 @@ class _CsvSink(contextlib.AbstractContextManager):
                 self._dist_file.write(TRUNCATION_MARKER + "," * DIST_HEADER.count(",") + "\n")
                 self._summary_file.write(TRUNCATION_MARKER + "," * SUMMARY_HEADER.count(",") + "\n")
             if self._to_stdout:
-                self._dist_file.write("\n" + self._summary_file.getvalue())
+                self._dist_file.write("\n")
+                self._summary_file.seek(0)
+                shutil.copyfileobj(self._summary_file, self._dist_file)
 
 
 class _JsonSink(contextlib.AbstractContextManager):

@@ -11,7 +11,6 @@ import pytest
 
 from stockwave import (
     EvolutionParams,
-    FourierPlan,
     HarmonicPotential,
     LatticeFunction,
     NormalizedState,
@@ -176,10 +175,9 @@ def test_criterion_8_evolution_correctness(capsys):
     # (d) owner eigenstates are stationary under V = 0
     eigenstate = NormalizedState(inverse(delta_state(4, size).base))
     params = EvolutionParams(mu=mu, dt=0.01, steps=500)
-    fwd_plan = FourierPlan(size, "forward")
-    reference = np.abs(fwd_plan.apply(eigenstate.values)) ** 2
+    reference = np.abs(forward(eigenstate).values) ** 2
     for record in evolve(eigenstate, params, ZeroPotential(), record_every=100):
-        owner = np.abs(fwd_plan.apply(record.state.values)) ** 2
+        owner = np.abs(forward(record.state).values) ** 2
         assert np.max(np.abs(owner - reference)) < 1e-10
 
     elapsed = time.perf_counter() - started
@@ -196,10 +194,9 @@ def test_criterion_9_transform_oracle_equivalence(capsys):
     rng = np.random.default_rng(107)
     worst = 0.0
     for size in (8, 13, 21, 64, 101):
-        plan = FourierPlan(size, "forward")
         for _ in range(100):
             phi = random_lattice_function(rng, size)
-            fast = plan.apply(phi.values)
+            fast = forward(phi).values
             slow = forward_naive(phi).values
             worst = max(worst, float(np.max(np.abs(fast - slow))))
     assert worst < 1e-11
