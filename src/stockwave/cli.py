@@ -10,26 +10,23 @@ Commands:
 state and evolve write through one sink, CSV or JSON per the scenario,
 used as a with-block. A sink takes a whole RecordBlock, as
 evolution.record_blocks yields them (state writes a block of one), so
-memory stays O(N) whatever the record count, and writes it record by
-record: the block's marks, both distributions and its summary, whose
-columns are SUMMARY_FIELDS, norm_error last. The CSV sink lays out a
-table of records as two uint8 matrices, the distribution rows and the
-summary rows: each record's "step,t," prefix, a cached "n," column per
-N, the number fields and the separators, all zero-padded. A table is one
-numfmt.encode pass: it formats every number of the table, each record's
-t included, and reports each text's length, so the t field is cut to
-the widest t text and each record's length is summed from the lengths of
-its fields, with no scan of the padded matrices. One bytes.translate
-strips the padding of a whole matrix, and the text is cut at the
-records' cumulative lengths, so each record is still one write per
-file. A table holds the records whose numbers, t included, fill one
-numfmt.CHUNK (at least one record), so its bytes stay O(CHUNK + N).
-The JSON sink converts the block's arrays to Python
-floats with one tolist each. An exception that aborts the with-block
-ends the partial output, whole records only, in a truncation marker (a
-TRUNCATED row, or "truncated": true) and closes it; every record before
-the failure is written first. Status lines go to stdout only when the
-output goes to a file.
+memory stays O(N) whatever the record count: the block's marks, both
+distributions and its summary, whose columns are SUMMARY_FIELDS,
+norm_error last. The CSV sink lays out a table of records as two uint8
+matrices, the distribution rows and the summary rows: each record's
+"step,t," prefix, a cached "n," column per N, the number fields and the
+separators, all zero-padded. A table is one numfmt.encode pass over
+every number of the table, each record's t included; the t field is cut
+to the widest t text. One bytes.translate strips the padding of a whole
+matrix, and each table is one write per file. A table holds the records
+whose numbers, t included, fill one numfmt.CHUNK (at least one record),
+so its bytes stay O(CHUNK + N). The JSON sink converts the block's
+arrays to Python floats with one tolist each and writes one record at a
+time. An exception that aborts the with-block ends the partial output,
+whole records only, in a truncation marker (a TRUNCATED row, or
+"truncated": true) and closes it; every table or record written before
+the failure stays. Status lines go to stdout only when the output goes
+to a file.
 
 Exit codes: 0 success, 1 usage or schema problem, 2 numerical invariant
 violation, 3 I/O failure. All emitted numbers are deterministic for a
@@ -102,31 +99,27 @@ def _ascii(texts: list) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _level_column(size: int) -> tuple[np.ndarray, int]:
-    """The "n," field of each distribution row of a lattice, as bytes, and
-    the fields' total length."""
-    texts = [f"{n}," for n in range(size)]
-    column = _ascii(texts)
+def _level_column(size: int) -> np.ndarray:
+    """The "n," field of each distribution row of a lattice, as bytes."""
+    column = _ascii([f"{n}," for n in range(size)])
     column.setflags(write=False)
-    return column, sum(map(len, texts))
+    return column
 
 
 _COMMA, _NEWLINE = np.frombuffer(b",", np.uint8), np.frombuffer(b"\n", np.uint8)
 _SUMMARY_ENDS = np.frombuffer(b"," * (len(SUMMARY_FIELDS) - 1) + b"\n", np.uint8)[:, None]
 
 
-def _numbers(*arrays) -> tuple[list, list]:
+def _numbers(*arrays) -> list:
     """format_number's bytes of each value of each float array, one
-    array.shape + (W,) uint8 array each, and their lengths, one
-    array.shape array each, from one numfmt.encode call; adding 0.0 folds
-    -0.0 as format_number does."""
-    text, lengths = numfmt.encode(np.concatenate([array.ravel() for array in arrays]) + 0.0)
+    array.shape + (W,) uint8 array each, from one numfmt.encode call;
+    adding 0.0 folds -0.0 as format_number does."""
+    text = numfmt.encode(np.concatenate([array.ravel() for array in arrays]) + 0.0)
     ends = np.cumsum([array.size for array in arrays]).tolist()
-    parts = [(slice(end - array.size, end), array.shape) for array, end in zip(arrays, ends)]
-    return (
-        [text[part].reshape(*shape, numfmt.W) for part, shape in parts],
-        [lengths[part].reshape(shape) for part, shape in parts],
-    )
+    return [
+        text[end - array.size:end].reshape(*array.shape, numfmt.W)
+        for array, end in zip(arrays, ends)
+    ]
 
 
 def _table(shape: tuple, *columns) -> np.ndarray:
@@ -141,23 +134,18 @@ def _table(shape: tuple, *columns) -> np.ndarray:
     return table
 
 
-def _record_texts(table: np.ndarray, lengths: np.ndarray):
-    """The text of each record of a table with one record per leading
-    index, its zero pad bytes dropped, given each record's text length;
-    the whole table is stripped in one translate and cut at the records'
-    cumulative lengths."""
-    ends = np.cumsum(lengths).tolist()
-    text = table.tobytes().translate(None, b"\0").decode("ascii")
-    return (text[start:end] for start, end in zip([0, *ends], ends))
+def _stripped(table: np.ndarray) -> str:
+    """A table's text: its bytes in order, the zero pad bytes dropped."""
+    return table.tobytes().translate(None, b"\0").decode("ascii")
 
 
 class _CsvSink(contextlib.AbstractContextManager):
     """Distributions at the scenario path, summary at a _summary sibling;
-    both are written record by record. Without a path the distributions
-    stream to stdout and the summary table, spooled to a temporary file,
-    follows them at the end. Used as a with-block: an exception leaving
-    the block ends both tables in a TRUNCATED row; the files are always
-    closed."""
+    each table of records is one write to each. Without a path the
+    distributions stream to stdout and the summary table, spooled to a
+    temporary file, follows them at the end. Used as a with-block: an
+    exception leaving the block ends both tables in a TRUNCATED row; the
+    files are always closed."""
 
     def __init__(self, path: str | None):
         self._to_stdout = path is None
@@ -187,25 +175,18 @@ class _CsvSink(contextlib.AbstractContextManager):
     def _write_table(self, marks, prob_price, prob_owner, summary):
         records, size = prob_price.shape
         steps, times = zip(*marks)
-        step_texts = [f"{step}," for step in steps]
-        texts, lengths = _numbers(prob_price, prob_owner, summary, np.array(times))
-        prices, owners, scalars, t_texts = texts
-        price_lengths, owner_lengths, scalar_lengths, t_lengths = lengths
-        # each record's "step,t," prefix, the t field cut to the widest t text
-        prefix = _table((records,), _ascii(step_texts), t_texts[:, :t_lengths.max()], _COMMA)
-        prefix_lengths = np.fromiter(map(len, step_texts), np.intp, records) + t_lengths + 1
-        levels, level_length = _level_column(size)
-        dist_lengths = (price_lengths + owner_lengths).sum(axis=1)
-        dist_lengths += size * (prefix_lengths + 2) + level_length  # "," and "\n" per row
-        dist_texts = _record_texts(_table(
-            (records, size), prefix[:, None], levels, prices, _COMMA, owners, _NEWLINE
-        ), dist_lengths)
+        prices, owners, scalars, t_texts = _numbers(
+            prob_price, prob_owner, summary, np.array(times)
+        )
+        # each record's "step,t," prefix, the t field cut to the widest t
+        # text: texts are left-aligned and hold no zero byte
+        t_texts = t_texts[:, :np.count_nonzero(t_texts.any(axis=0))]
+        prefix = _table((records,), _ascii([f"{step}," for step in steps]), t_texts, _COMMA)
+        self._dist_file.write(_stripped(_table(
+            (records, size), prefix[:, None], _level_column(size), prices, _COMMA, owners, _NEWLINE
+        )))
         fields = _table(scalars.shape[:2], scalars, _SUMMARY_ENDS).reshape(records, -1)
-        summary_lengths = prefix_lengths + scalar_lengths.sum(axis=1) + len(SUMMARY_FIELDS)
-        summary_texts = _record_texts(_table((records,), prefix, fields), summary_lengths)
-        for dist_text, summary_text in zip(dist_texts, summary_texts):
-            self._dist_file.write(dist_text)
-            self._summary_file.write(summary_text)
+        self._summary_file.write(_stripped(_table((records,), prefix, fields)))
 
     def __exit__(self, exc_type, exc, tb):
         with self._files:

@@ -1,9 +1,10 @@
 """The bytes of ``'%.15g' % x`` for a whole float64 array at once.
 
-``encode(values)`` gives an ``(n, W)`` uint8 array and an ``(n,)`` intp
-array: each value's text, byte for byte what CPython's ``%`` gives,
-left-aligned and padded with zero bytes to ``W = 22``, the longest such
-text (``-1.23456789012345e-308``), and that text's length in bytes.
+``encode(values)`` gives an ``(n, W)`` uint8 array: each value's text,
+byte for byte what CPython's ``%`` gives, left-aligned and padded with
+zero bytes to ``W = 22``, the longest such text
+(``-1.23456789012345e-308``). No text holds a zero byte, so the padding
+is every zero byte of a row.
 ``cli.format_number`` stays the scalar definition of the format; this is
 its block form.
 
@@ -41,9 +42,7 @@ The text is picked byte by byte from a 32-byte source row per value
 (digit triples, exponent, constants) by one of 2 x 21 x 15 layouts: the
 sign, the notation class (positional for -4 <= X < 15, else exponential
 with a two- or three-digit exponent) and the count of digits left once
-trailing zeros go. Each layout's text length is tabulated, so a value's
-length is one lookup; a fallback value takes the length of its ``%``
-text. Values are formatted CHUNK (4096) at a time, so the
+trailing zeros go. Values are formatted CHUNK (4096) at a time, so the
 temporaries stay O(CHUNK): under tracemalloc they peak at ~180 bytes per
 value, ~0.73 MB for a full chunk, on top of the output's W bytes per
 value.
@@ -162,7 +161,6 @@ _LAYOUTS = np.concatenate((  # a negative value's text is "-" and the positive's
     np.column_stack((np.full(len(_POSITIVE_LAYOUTS), _MINUS), _POSITIVE_LAYOUTS[:, :-1])),
 ))
 _NEGATIVE_LAYOUTS = _CLASSES * DIGITS
-_LENGTHS = np.count_nonzero(_LAYOUTS != _PAD, axis=1)  # each layout's text length
 _LAYOUT_HALVES = [(half, np.ascontiguousarray(_LAYOUTS[:, half]))
                   for half in (slice(0, W // 2), slice(W // 2, W))]
 _CLASS_LAYOUTS = DIGITS * np.array([  # each exponent's first layout, less one
@@ -215,9 +213,9 @@ def _groups(digits):
     yield last
 
 
-def _text(x, digits, index, out, lengths):
+def _text(x, digits, index, out):
     """Write the text of each value of a 1-d chunk, from its D and
-    X + _RANGE, into the rows of out, and its length into lengths."""
+    X + _RANGE, into the rows of out."""
     source = np.zeros((x.size, 8), dtype=np.uint32)
     for word, group in enumerate(_groups(digits)):
         source[:, word] = _TRIPLES[word][group]
@@ -230,7 +228,6 @@ def _text(x, digits, index, out, lengths):
     layout = _CLASS_LAYOUTS[index]
     layout += ndigits
     layout += np.signbit(x) * _NEGATIVE_LAYOUTS
-    np.take(_LENGTHS, layout, out=lengths, mode="clip")
     row_starts = np.arange(0, source.size, source.shape[1])[:, None]
     cols = np.empty((x.size, W // 2), dtype=np.intp)  # half a row: half the bytes
     for half, layouts in _LAYOUT_HALVES:
@@ -239,21 +236,18 @@ def _text(x, digits, index, out, lengths):
         out[:, half] = source.ravel()[cols]
 
 
-def encode(values) -> tuple[np.ndarray, np.ndarray]:
+def encode(values) -> np.ndarray:
     """The text of '%.15g' % v for each of the n values, in ravel order:
-    an (n, W) uint8 array, each row left-aligned and zero-padded, and the
-    (n,) intp array of the texts' lengths in bytes."""
+    an (n, W) uint8 array, each row left-aligned and zero-padded."""
     flat = np.asarray(values, dtype=np.float64).ravel()
     out = np.empty((flat.size, W), dtype=np.uint8)
-    lengths = np.empty(flat.size, dtype=np.intp)
     for start in range(0, flat.size, CHUNK):
         chunk = flat[start:start + CHUNK]
-        rows, sizes = out[start:start + CHUNK], lengths[start:start + CHUNK]
+        rows = out[start:start + CHUNK]
         digits, index, fallback = _decimal(chunk)
-        _text(chunk, digits, index, rows, sizes)
+        _text(chunk, digits, index, rows)
         (slow,) = np.nonzero(fallback)
         if slow.size:
             texts = ["%.15g" % v for v in chunk[slow].tolist()]
             rows[slow] = np.array(texts, dtype=f"S{W}").view(np.uint8).reshape(-1, W)
-            sizes[slow] = [len(text) for text in texts]
-    return out, lengths
+    return out

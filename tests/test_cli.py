@@ -311,22 +311,33 @@ def test_evolve_truncation_marker(tmp_path, monkeypatch, capsys, error):
     assert srows[-1][0] == "TRUNCATED"
 
 
-def test_evolve_io_failure_closes_marked_outputs(tmp_path, monkeypatch, capsys):
+# at N = 4 a table holds 4096 // 16 = 256 records; the distributions
+# table is written before the summary table
+@pytest.mark.parametrize("file_attr, dist_kept, summary_kept", [
+    ("_dist_file", 256, 256),
+    ("_summary_file", 512, 256),
+])
+def test_evolve_io_failure_closes_marked_outputs(
+    tmp_path, monkeypatch, capsys, file_attr, dist_kept, summary_kept
+):
     doc = {
         "N": 4,
         "state": {"type": "delta", "m": 0},
-        "evolution": {"mu": 1.0, "dt": 0.01, "steps": 5},
+        "evolution": {"mu": 1.0, "dt": 0.01, "steps": 600},  # 601 records
         "output": {"format": "csv", "path": str(tmp_path / "run.csv")},
     }
     config = write_config(tmp_path, doc)
-    sinks = fail_record_write(monkeypatch, cli._CsvSink, "_dist_file", 3)
+    assert run_cli(["--quiet", "evolve", "--config", config]) == 0
+    _, clean = read_csv(tmp_path / "run.csv")
+    _, sclean = read_csv(tmp_path / "run_summary.csv")
+    sinks, _ = fail_write(monkeypatch, cli._CsvSink, file_attr, 2)
     assert run_cli(["--quiet", "evolve", "--config", config]) == 3
     assert capsys.readouterr().err == "stockwave: synthetic write failure\n"
     assert sinks[0]._dist_file.closed and sinks[0]._summary_file.closed
     _, rows = read_csv(tmp_path / "run.csv")
-    assert len(rows) == 2 * 4 + 1 and rows[-1][0] == "TRUNCATED"
+    assert rows[:-1] == clean[:4 * dist_kept] and rows[-1][0] == "TRUNCATED"
     _, srows = read_csv(tmp_path / "run_summary.csv")
-    assert len(srows) == 2 + 1 and srows[-1][0] == "TRUNCATED"
+    assert srows[:-1] == sclean[:summary_kept] and srows[-1][0] == "TRUNCATED"
 
 
 def reference_output(doc):
@@ -420,21 +431,26 @@ def test_csv_tables_span_blocks_one_format_pass_each(tmp_path, monkeypatch, size
         return encode(values)
 
     monkeypatch.setattr(cli.numfmt, "encode", counted_encode)
+    _, dist_writes = fail_write(monkeypatch, cli._CsvSink, "_dist_file")
+    _, summary_writes = fail_write(monkeypatch, cli._CsvSink, "_summary_file")
     assert run_cli(["--quiet", "evolve", "--config", write_config(tmp_path, doc)]) == 0
     assert len(passes) == tables and max(passes) <= cli.numfmt.CHUNK
+    assert len(dist_writes) == len(summary_writes) == tables
     paths = [tmp_path / "run.csv", tmp_path / "run_summary.csv"]
     assert [path.read_text() for path in paths] == reference_output(doc)
 
 
-def fail_record_write(monkeypatch, sink_class, file_attr, failing):
-    """Make the given write of a record to each sink's file raise OSError
-    (the header, written on opening, is not counted); return the sinks."""
-    sinks, write_block = [], sink_class.write_block
+def fail_write(monkeypatch, sink_class, file_attr, failing=None):
+    """Make the given write to each sink's file raise OSError, counting
+    the writes after the header (written on opening): one per record for
+    JSON, one per table for CSV. Return the sinks and the list of texts
+    passed to the patched writes."""
+    sinks, calls, write_block = [], [], sink_class.write_block
 
     def write_failing_block(self, block):
         if self not in sinks:
             sinks.append(self)
-            file, calls = getattr(self, file_attr), []
+            file = getattr(self, file_attr)
             write = file.write
 
             def failing_write(text):
@@ -447,21 +463,26 @@ def fail_record_write(monkeypatch, sink_class, file_attr, failing):
         write_block(self, block)
 
     monkeypatch.setattr(sink_class, "write_block", write_failing_block)
-    return sinks
+    return sinks, calls
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
+# at N = 21 a block holds 195 records; CSV tables of 81 records run 81,
+# 81, 33 in the first block and 56 in the second
+@pytest.mark.parametrize("fmt, failing, kept", [
+    pytest.param("csv", 4, 195, id="csv"),
+    pytest.param("json", 201, 200, id="json"),
+])
 def test_evolve_io_failure_in_the_second_block_keeps_whole_records(
-    tmp_path, monkeypatch, capsys, fmt
+    tmp_path, monkeypatch, capsys, fmt, failing, kept
 ):
-    doc = failure_doc(steps=250)  # at N = 21 a block holds 195 records
+    doc = failure_doc(steps=250)
     code, clean, truncated = evolve_records(tmp_path, doc, fmt)
     assert code == 0 and not truncated
     sink_class, file_attr = {"csv": (cli._CsvSink, "_dist_file"), "json": (cli._JsonSink, "_file")}[fmt]
-    fail_record_write(monkeypatch, sink_class, file_attr, 201)
+    fail_write(monkeypatch, sink_class, file_attr, failing)
     code, records, truncated = evolve_records(tmp_path, doc, fmt)
     assert code == 3 and capsys.readouterr().err == "stockwave: synthetic write failure\n"
-    assert truncated and records == clean[:200]
+    assert truncated and records == clean[:kept]
 
 
 @pytest.mark.parametrize("command", ["state", "uncertainty", "evolve"])
@@ -951,7 +972,7 @@ def test_json_failure_leaves_parseable_truncated_document(
         "output": {"format": "json", "path": str(tmp_path / "run.json")},
     }
     config = write_config(tmp_path, doc)
-    fail_record_write(monkeypatch, cli._JsonSink, "_file", written + 1)
+    fail_write(monkeypatch, cli._JsonSink, "_file", written + 1)
     assert run_cli(["--quiet", command, "--config", config]) == 3
     text = (tmp_path / "run.json").read_text()
     data = json.loads(text)

@@ -113,14 +113,6 @@ def test_unitarity_of_inner_products():
         assert norm(forward(phi)) == pytest.approx(norm(phi), abs=1e-12)
 
 
-def test_fft_equals_naive_including_primes():
-    rng = np.random.default_rng(37)
-    for size in (8, 13, 21, 64, 101):
-        for _ in range(10):
-            phi = random_lattice_function(rng, size)
-            assert np.max(np.abs(forward(phi).values - forward_naive(phi).values)) < 1e-11
-
-
 def test_phase_tables_on_unit_circle():
     for size in (7, 21, 50):
         for direction in ("forward", "inverse"):

@@ -9,11 +9,12 @@ from stockwave import numfmt
 
 
 def texts(values):
-    """numfmt.encode's rows as strings, each cut at its reported length;
-    every byte past that length must be zero padding."""
-    text, lengths = numfmt.encode(values)
-    assert not text[np.arange(numfmt.W) >= lengths[:, None]].any()
-    return [bytes(row[:length]).decode("ascii") for row, length in zip(text, lengths.tolist())]
+    """numfmt.encode's rows as strings, each stripped of its trailing zero
+    bytes; no zero byte may be left inside a row, so the padding comes
+    only after the text."""
+    rows = [bytes(row).rstrip(b"\0") for row in numfmt.encode(values)]
+    assert not any(b"\0" in row for row in rows)
+    return [row.decode("ascii") for row in rows]
 
 
 def reference(values):
