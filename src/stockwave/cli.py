@@ -12,25 +12,25 @@ used as a with-block. A sink takes a whole RecordBlock, as
 evolution.record_blocks yields them (state writes a block of one), so
 memory stays O(N) whatever the record count: the block's marks, both
 distributions and its summary, whose columns are SUMMARY_FIELDS,
-norm_error last. The CSV sink lays out a table of records as two uint8
-matrices, the distribution rows and the summary rows: each record's
-"step,t," prefix, a cached "n," column per N, the number fields and the
-separators, all zero-padded. A table is one numfmt.encode pass over
-every number of the table, each record's t included; the t field is cut
-to the widest t text. One bytes.translate strips the padding of a whole
-matrix, and each table is one write per file. A table holds the records
-whose numbers, t included, fill one numfmt.CHUNK (at least one record),
-so its bytes stay O(CHUNK + N). The JSON sink converts the block's
-arrays to Python floats with one tolist each and writes one record at a
-time. An exception that aborts the with-block ends the partial output,
-whole records only, in a truncation marker (a TRUNCATED row, or
-"truncated": true) and closes it; every table or record written before
-the failure stays. Status lines go to stdout only when the output goes
-to a file.
+norm_error last. The CSV sink writes each record block as one table:
+two uint8 matrices, the distribution rows and the summary rows, of each
+record's "step,t," prefix, a cached "n," column per N, the number fields
+and the separators, all zero-padded. One numfmt.encode call formats the
+block's numbers, one row of 2N + 8 per record (t included), in passes
+of whole records; the t field is cut to the widest t text. One
+bytes.translate strips the padding of a whole matrix, and a block is one
+write per file. A block holds at most evolution.RECORD_BLOCK_SIZE
+amplitudes or one record, so a table's bytes stay
+O(RECORD_BLOCK_SIZE + N). The JSON sink converts the block's arrays to Python floats with
+one tolist each and writes one record at a time. An exception that
+aborts the with-block ends the partial output, whole records only, in a
+truncation marker (a TRUNCATED row, or "truncated": true) and closes it;
+every block or record written before the failure stays. Status lines go
+to stdout only when the output goes to a file.
 
 Exit codes: 0 success, 1 usage or schema problem, 2 numerical invariant
-violation, 3 I/O failure. All emitted numbers are deterministic for a
-given scenario.
+violation, 3 I/O failure, 4 out of memory, 130 interrupted (SIGINT).
+All emitted numbers are deterministic for a given scenario.
 """
 from __future__ import annotations
 
@@ -55,6 +55,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_IO = 3
+EXIT_MEMORY = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 DIST_HEADER = "step,t,n,prob_price,prob_owner"
 SUMMARY_HEADER = "step,t," + ",".join(SUMMARY_FIELDS)
@@ -110,18 +112,6 @@ _COMMA, _NEWLINE = np.frombuffer(b",", np.uint8), np.frombuffer(b"\n", np.uint8)
 _SUMMARY_ENDS = np.frombuffer(b"," * (len(SUMMARY_FIELDS) - 1) + b"\n", np.uint8)[:, None]
 
 
-def _numbers(*arrays) -> list:
-    """format_number's bytes of each value of each float array, one
-    array.shape + (W,) uint8 array each, from one numfmt.encode call;
-    adding 0.0 folds -0.0 as format_number does."""
-    text = numfmt.encode(np.concatenate([array.ravel() for array in arrays]) + 0.0)
-    ends = np.cumsum([array.size for array in arrays]).tolist()
-    return [
-        text[end - array.size:end].reshape(*array.shape, numfmt.W)
-        for array, end in zip(arrays, ends)
-    ]
-
-
 def _table(shape: tuple, *columns) -> np.ndarray:
     """A shape + (width,) uint8 table of the byte columns side by side,
     each broadcast to shape + (its width,). Zero bytes are padding
@@ -141,7 +131,7 @@ def _stripped(table: np.ndarray) -> str:
 
 class _CsvSink(contextlib.AbstractContextManager):
     """Distributions at the scenario path, summary at a _summary sibling;
-    each table of records is one write to each. Without a path the
+    a table is one record block, one write to each. Without a path the
     distributions stream to stdout and the summary table, spooled to a
     temporary file, follows them at the end. Used as a with-block: an
     exception leaving the block ends both tables in a TRUNCATED row; the
@@ -163,30 +153,32 @@ class _CsvSink(contextlib.AbstractContextManager):
             self._files = files.pop_all()
 
     def write_block(self, block):
-        size = block.prob_price.shape[1]
-        # a table holds the records whose numbers, t included, fill one
-        # kernel chunk, or one
-        records = max(1, numfmt.CHUNK // (2 * size + len(SUMMARY_FIELDS) + 1))
-        for start in range(0, len(block), records):
-            rows = slice(start, start + records)
-            prices, owners = block.prob_price[rows], block.prob_owner[rows]
-            self._write_table(block.marks[rows], prices, owners, block.summary[rows])
-
-    def _write_table(self, marks, prob_price, prob_owner, summary):
-        records, size = prob_price.shape
-        steps, times = zip(*marks)
-        prices, owners, scalars, t_texts = _numbers(
-            prob_price, prob_owner, summary, np.array(times)
-        )
+        records, size = block.prob_price.shape
+        steps, times = zip(*block.marks)
+        # one row of numbers per record; adding 0.0 folds -0.0 as
+        # format_number does
+        numbers = np.column_stack((block.prob_price, block.prob_owner, block.summary, times))
+        numbers += 0.0
+        text = numfmt.encode(numbers)
+        del numbers
         # each record's "step,t," prefix, the t field cut to the widest t
         # text: texts are left-aligned and hold no zero byte
-        t_texts = t_texts[:, :np.count_nonzero(t_texts.any(axis=0))]
-        prefix = _table((records,), _ascii([f"{step}," for step in steps]), t_texts, _COMMA)
-        self._dist_file.write(_stripped(_table(
-            (records, size), prefix[:, None], _level_column(size), prices, _COMMA, owners, _NEWLINE
-        )))
-        fields = _table(scalars.shape[:2], scalars, _SUMMARY_ENDS).reshape(records, -1)
-        self._summary_file.write(_stripped(_table((records,), prefix, fields)))
+        t_width = np.count_nonzero(text[:, -1].any(axis=0))
+        prefix = _table((records,), _ascii([f"{step}," for step in steps]), text[:, -1, :t_width], _COMMA)
+        fields = _table((records, len(SUMMARY_FIELDS)), text[:, 2 * size:-1], _SUMMARY_ENDS)
+        summary = _stripped(_table((records,), prefix, fields.reshape(records, -1)))
+        dist = _table(
+            (records, size), prefix[:, None], _level_column(size),
+            text[:, :size], _COMMA, text[:, size:2 * size], _NEWLINE,
+        )
+        # the block's texts, its table, their bytes and the stripped bytes
+        # each go once the next stage exists, so at most two are alive
+        del text
+        dist = dist.tobytes()
+        dist = dist.translate(None, b"\0")
+        dist = dist.decode("ascii")
+        self._dist_file.write(dist)
+        self._summary_file.write(summary)
 
     def __exit__(self, exc_type, exc, tb):
         with self._files:
@@ -351,6 +343,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"stockwave: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        print("stockwave: out of memory", file=sys.stderr)
+        return EXIT_MEMORY
+    except KeyboardInterrupt:
+        print("stockwave: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """The bytes of ``'%.15g' % x`` for a whole float64 array at once.
 
-``encode(values)`` gives an ``(n, W)`` uint8 array: each value's text,
-byte for byte what CPython's ``%`` gives, left-aligned and padded with
-zero bytes to ``W = 22``, the longest such text
+``encode(values)`` gives a ``values.shape + (W,)`` uint8 array: each
+value's text, byte for byte what CPython's ``%`` gives, left-aligned and
+padded with zero bytes to ``W = 22``, the longest such text
 (``-1.23456789012345e-308``). No text holds a zero byte, so the padding
 is every zero byte of a row.
 ``cli.format_number`` stays the scalar definition of the format; this is
@@ -42,10 +42,14 @@ The text is picked byte by byte from a 32-byte source row per value
 (digit triples, exponent, constants) by one of 2 x 21 x 15 layouts: the
 sign, the notation class (positional for -4 <= X < 15, else exponential
 with a two- or three-digit exponent) and the count of digits left once
-trailing zeros go. Values are formatted CHUNK (4096) at a time, so the
+trailing zeros go.
+
+Values are formatted in passes of at most CHUNK (4096), so the
 temporaries stay O(CHUNK): under tracemalloc they peak at ~180 bytes per
-value, ~0.73 MB for a full chunk, on top of the output's W bytes per
-value.
+value, ~0.73 MB for a full pass, on top of the output's W bytes per
+value. A pass holds as many whole rows of the last axis as fit in CHUNK,
+at least one; a row longer than CHUNK is cut into CHUNK-value slices of
+the ravel. A 1-d input is one row.
 """
 from __future__ import annotations
 
@@ -205,12 +209,15 @@ def _decimal(x):
 
 
 def _groups(digits):
-    """D's five groups of three digits, most significant first."""
-    high, low = np.divmod(digits, 10**9)
-    yield from np.divmod(high, 1000)
-    low, last = np.divmod(low, 1000)
-    yield from np.divmod(low, 1000)
-    yield last
+    """D's five groups of three digits, most significant first. Floor
+    division by a scalar (libdivide in NumPy) and a subtraction beat
+    np.divmod."""
+    rest = digits
+    for unit in (10**12, 10**9, 10**6, 1000):
+        group = rest // unit
+        yield group
+        rest = rest - group * unit
+    yield rest
 
 
 def _text(x, digits, index, out):
@@ -237,17 +244,20 @@ def _text(x, digits, index, out):
 
 
 def encode(values) -> np.ndarray:
-    """The text of '%.15g' % v for each of the n values, in ravel order:
-    an (n, W) uint8 array, each row left-aligned and zero-padded."""
-    flat = np.asarray(values, dtype=np.float64).ravel()
+    """The text of '%.15g' % v for each value: a values.shape + (W,)
+    uint8 array, each text left-aligned and zero-padded."""
+    values = np.asarray(values, dtype=np.float64)
+    flat = values.ravel()
     out = np.empty((flat.size, W), dtype=np.uint8)
-    for start in range(0, flat.size, CHUNK):
-        chunk = flat[start:start + CHUNK]
-        rows = out[start:start + CHUNK]
+    row = max(1, values.shape[-1] if values.ndim else 1)
+    per_pass = CHUNK // row * row or CHUNK  # whole rows, or a slice of one
+    for start in range(0, flat.size, per_pass):
+        chunk = flat[start:start + per_pass]
+        rows = out[start:start + per_pass]
         digits, index, fallback = _decimal(chunk)
         _text(chunk, digits, index, rows)
         (slow,) = np.nonzero(fallback)
         if slow.size:
             texts = ["%.15g" % v for v in chunk[slow].tolist()]
             rows[slow] = np.array(texts, dtype=f"S{W}").view(np.uint8).reshape(-1, W)
-    return out
+    return out.reshape(*values.shape, W)

@@ -311,11 +311,40 @@ def test_evolve_truncation_marker(tmp_path, monkeypatch, capsys, error):
     assert srows[-1][0] == "TRUNCATED"
 
 
-# at N = 4 a table holds 4096 // 16 = 256 records; the distributions
-# table is written before the summary table
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("error, code, message", [
+    (KeyboardInterrupt, 130, "stockwave: interrupted\n"),
+    (MemoryError, 4, "stockwave: out of memory\n"),
+])
+def test_interrupt_and_out_of_memory_end_in_exit_codes(
+    tmp_path, monkeypatch, capsys, fmt, error, code, message
+):
+    doc = failure_doc(steps=250)  # blocks of 195 and 56 records
+    _, clean, _ = evolve_records(tmp_path, doc, fmt)
+    sinks, make_sink = [], cli._make_sink
+
+    def recorded_sink(scenario):
+        sinks.append(make_sink(scenario))
+        return sinks[-1]
+
+    def failing_blocks(phi0, params, potential, record_every=1):
+        yield next(evolution.record_blocks(phi0, params, potential, record_every))
+        raise error
+
+    monkeypatch.setattr(cli, "_make_sink", recorded_sink)
+    monkeypatch.setattr(cli, "record_blocks", failing_blocks)
+    exit_code, records, truncated = evolve_records(tmp_path, doc, fmt)
+    assert exit_code == code and capsys.readouterr().err == message
+    assert truncated and records == clean[:195]
+    files = ["_file"] if fmt == "json" else ["_dist_file", "_summary_file"]
+    assert all(getattr(sinks[0], name).closed for name in files)
+
+
+# at N = 4 a block holds 4096 // 4 = 1024 records, each block one write
+# per file; the distributions table is written before the summary table
 @pytest.mark.parametrize("file_attr, dist_kept, summary_kept", [
-    ("_dist_file", 256, 256),
-    ("_summary_file", 512, 256),
+    ("_dist_file", 1024, 1024),
+    ("_summary_file", 1501, 1024),
 ])
 def test_evolve_io_failure_closes_marked_outputs(
     tmp_path, monkeypatch, capsys, file_attr, dist_kept, summary_kept
@@ -323,7 +352,7 @@ def test_evolve_io_failure_closes_marked_outputs(
     doc = {
         "N": 4,
         "state": {"type": "delta", "m": 0},
-        "evolution": {"mu": 1.0, "dt": 0.01, "steps": 600},  # 601 records
+        "evolution": {"mu": 1.0, "dt": 0.01, "steps": 1500},  # 1501 records, two blocks
         "output": {"format": "csv", "path": str(tmp_path / "run.csv")},
     }
     config = write_config(tmp_path, doc)
@@ -407,12 +436,14 @@ def test_block_sinks_write_what_each_record_writes(size, steps, record_every, fm
         assert [path.read_text() for path in paths] == reference_output(doc)
 
 
-@pytest.mark.parametrize("size, steps, tables", [
-    (21, 500, 8),  # blocks of 195 records, tables of 81: table edges inside blocks
+# a table is one record block (195 records at N = 21, 4 at N = 1020 and
+# 1021); numfmt.encode formats it in passes of whole records
+@pytest.mark.parametrize("size, steps, passes", [
+    (21, 500, 8),  # passes of 81 records: 81, 81, 33 in each full block
     (1020, 9, 5),  # two records fill numfmt.CHUNK exactly
-    (1021, 9, 10),  # one record per table
+    (1021, 9, 10),  # one record per pass
 ])
-def test_csv_tables_span_blocks_one_format_pass_each(tmp_path, monkeypatch, size, steps, tables):
+def test_csv_tables_span_blocks_one_format_pass_each(tmp_path, monkeypatch, size, steps, passes):
     doc = {
         "N": size,
         "state": {"type": "gaussian", "kappa": 1.0, "n0": size // 3, "k0": size // 2},
@@ -424,18 +455,18 @@ def test_csv_tables_span_blocks_one_format_pass_each(tmp_path, monkeypatch, size
         },
         "output": {"format": "csv", "path": str(tmp_path / "run.csv"), "record_every": 1},
     }
-    passes, encode = [], cli.numfmt.encode
+    sizes, decimal = [], cli.numfmt._decimal
 
-    def counted_encode(values):
-        passes.append(values.size)
-        return encode(values)
+    def counted_decimal(values):
+        sizes.append(values.size)
+        return decimal(values)
 
-    monkeypatch.setattr(cli.numfmt, "encode", counted_encode)
+    monkeypatch.setattr(cli.numfmt, "_decimal", counted_decimal)
     _, dist_writes = fail_write(monkeypatch, cli._CsvSink, "_dist_file")
     _, summary_writes = fail_write(monkeypatch, cli._CsvSink, "_summary_file")
     assert run_cli(["--quiet", "evolve", "--config", write_config(tmp_path, doc)]) == 0
-    assert len(passes) == tables and max(passes) <= cli.numfmt.CHUNK
-    assert len(dist_writes) == len(summary_writes) == tables
+    assert len(sizes) == passes and max(sizes) <= cli.numfmt.CHUNK
+    assert len(dist_writes) == len(summary_writes) == 3  # blocks
     paths = [tmp_path / "run.csv", tmp_path / "run_summary.csv"]
     assert [path.read_text() for path in paths] == reference_output(doc)
 
@@ -443,7 +474,7 @@ def test_csv_tables_span_blocks_one_format_pass_each(tmp_path, monkeypatch, size
 def fail_write(monkeypatch, sink_class, file_attr, failing=None):
     """Make the given write to each sink's file raise OSError, counting
     the writes after the header (written on opening): one per record for
-    JSON, one per table for CSV. Return the sinks and the list of texts
+    JSON, one per record block for CSV. Return the sinks and the list of texts
     passed to the patched writes."""
     sinks, calls, write_block = [], [], sink_class.write_block
 
@@ -466,10 +497,9 @@ def fail_write(monkeypatch, sink_class, file_attr, failing=None):
     return sinks, calls
 
 
-# at N = 21 a block holds 195 records; CSV tables of 81 records run 81,
-# 81, 33 in the first block and 56 in the second
+# at N = 21 a block holds 195 records, one CSV write per file
 @pytest.mark.parametrize("fmt, failing, kept", [
-    pytest.param("csv", 4, 195, id="csv"),
+    pytest.param("csv", 2, 195, id="csv"),
     pytest.param("json", 201, 200, id="json"),
 ])
 def test_evolve_io_failure_in_the_second_block_keeps_whole_records(

@@ -109,6 +109,29 @@ def test_encode_matches_percent_across_chunks():
     assert texts(values) == reference(values)
 
 
+@pytest.mark.parametrize("shape, passes", [
+    ((200, 50), [4050, 4050, 1900]),  # 81 rows a pass
+    ((5, 2048), [4096, 4096, 2048]),  # 2 rows a pass
+    ((3, 2050), [2050] * 3),  # one row a pass
+    ((2, 5000), [4096, 4096, 1808]),  # rows longer than CHUNK: CHUNK-value slices
+    ((5000,), [4096, 904]),  # a 1-d input is one row
+])
+def test_encode_passes_hold_whole_rows(monkeypatch, shape, passes):
+    values = 10.0 ** np.random.default_rng(3).uniform(-20, 20, shape)
+    sizes, decimal = [], numfmt._decimal
+
+    def counted_decimal(chunk):
+        sizes.append(chunk.size)
+        return decimal(chunk)
+
+    monkeypatch.setattr(numfmt, "_decimal", counted_decimal)
+    text = numfmt.encode(values)
+    assert sizes == passes
+    assert text.shape == (*shape, numfmt.W)
+    assert text.tobytes() == numfmt.encode(values.ravel()).tobytes()
+    assert texts(values.ravel()) == reference(values.ravel())
+
+
 def is_tie(value):
     """Whether |value| * 10^(14 - X), X its decimal exponent, ends in
     exactly .5, computed in exact decimal arithmetic."""

@@ -1,10 +1,15 @@
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 
 def _tour_values():
@@ -27,3 +32,30 @@ def test_library_tour_results_match_its_comments():
     assert product_ok
     assert eigenvalue == pytest.approx(3.342253804930j, abs=1e-12)
     assert norm_error < 1e-12
+
+
+def test_readme_scenario_runs_through_the_module(tmp_path):
+    # the checks the CI runs on the installed console script, here through
+    # python -m stockwave in a fresh directory
+    scenario = re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1)
+    (tmp_path / "scenario.json").write_text(scenario)
+    doc = json.loads(scenario)
+    del doc["output"]["path"]  # CSV to stdout, the summary table last
+    (tmp_path / "stdout.json").write_text(json.dumps(doc))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+
+    def run(*args):
+        result = subprocess.run(
+            [sys.executable, "-m", "stockwave", *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0 and result.stderr == "", result.stderr
+        return result.stdout
+
+    for command in ("state", "uncertainty", "evolve"):
+        run(command, "--config", "scenario.json")
+    # evolve ran last: a header and 5 records of 21 rows, and 5 summary rows
+    assert len((tmp_path / "run.csv").read_text().splitlines()) == 106
+    assert len((tmp_path / "run_summary.csv").read_text().splitlines()) == 6
+    assert run("evolve", "--config", "stdout.json").splitlines()[-1].startswith("2000,")
