@@ -29,8 +29,9 @@ every block or record written before the failure stays. Status lines go
 to stdout only when the output goes to a file.
 
 Exit codes: 0 success, 1 usage or schema problem, 2 numerical invariant
-violation, 3 I/O failure, 4 out of memory, 130 interrupted (SIGINT).
-All emitted numbers are deterministic for a given scenario.
+violation, 3 I/O failure, 4 out of memory, 130 interrupted (SIGINT),
+143 terminated (SIGTERM, which the console entry point raises as
+Terminated). All emitted numbers are deterministic for a given scenario.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ import contextlib
 import functools
 import json
 import shutil
+import signal
 import sys
 import tempfile
 from pathlib import Path
@@ -57,6 +59,7 @@ EXIT_NUMERIC = 2
 EXIT_IO = 3
 EXIT_MEMORY = 4
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
+EXIT_TERMINATED = 143  # 128 + SIGTERM
 
 DIST_HEADER = "step,t,n,prob_price,prob_owner"
 SUMMARY_HEADER = "step,t," + ",".join(SUMMARY_FIELDS)
@@ -65,6 +68,15 @@ TRUNCATION_MARKER = "TRUNCATED"
 
 class UsageError(Exception):
     pass
+
+
+class Terminated(BaseException):
+    """SIGTERM, raised in the main thread; a BaseException, as
+    KeyboardInterrupt is, so that no ``except Exception`` stops it."""
+
+
+def _terminate(signum, frame):
+    raise Terminated
 
 
 class _Parser(argparse.ArgumentParser):
@@ -349,7 +361,21 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("stockwave: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except Terminated:
+        print("stockwave: terminated", file=sys.stderr)
+        return EXIT_TERMINATED
+
+
+def console_main() -> int:
+    """The console script and ``python -m stockwave``: ``main`` with SIGTERM
+    raised as Terminated. In-process callers of ``main`` keep their own
+    SIGTERM handling."""
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        return main()
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

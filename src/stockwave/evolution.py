@@ -18,7 +18,8 @@ generator, ``_strang_steps``, runs every step of a run this way and
 yields the state at each record step; it is the one step body. Each
 kick F^-1 diag(K) F is a fixed cyclic convolution, built once per run by
 ``fourier.circulant``: one dense product for N <= NAIVE_CUTOFF, otherwise
-one FFT pair, zero-padded when N has a large prime factor. A run thus
+one FFT pair, of length N, or, when N has a large prime factor, over the
+two half-length rows of a zero-padded convolution. A run thus
 costs 2 transforms per step plus 2 per record interval (one matrix
 product per step plus one for small N), and no step goes through the
 owner basis and back. Records are taken in blocks: ``record_blocks``

@@ -12,9 +12,10 @@ products never lose precision.
 
 An owner-diagonal operator F^-1 diag(d) F is circulant: the dense form
 is ``circulant_matrix``, O(N^2) from one inverse FFT of d, and
-``circulant`` returns its product as a cyclic convolution (that matrix's
-``dot`` on small lattices, else one FFT pair, zero-padded when N has a
-large prime factor).
+``circulant`` returns its product as a cyclic convolution: that matrix's
+``dot`` on small lattices, else one FFT pair, of length N or, when N has
+a large prime factor, over the two rows of length L of a convolution
+zero-padded to 2L, L >= N a fast length.
 """
 from __future__ import annotations
 
@@ -36,9 +37,11 @@ PHASE_TABLE_TOL = 1e-14
 FAST_RADIX_LIMIT = 11
 # A circulant keeps length N while no prime factor of N exceeds this, and
 # is zero-padded beyond it. Timed on numpy 2.4, x86-64, N = p * 4 and
-# p * 16: for p = 13..43 the length-N pair is 1.0-1.7x faster than the
-# padded one, for p = 53..83 the two are within 15%, and the padded pair
-# wins by 1.2-1.3x at p = 97, 2.1-2.7x at p = 127 and 2.5x at N = 1031.
+# p * 16 against the padded two-row pair: for p = 13..47 the length-N
+# pair is 1.0-1.5x faster, for p = 53..61 the two are within 15% either
+# way, and the padded pair wins by 1.0-1.4x at p = 67..83, 1.3-1.5x at
+# p = 89..113 (2.2x at 101 * 4 and 107 * 4), 2.2-3.3x at p = 127 and
+# 3.0x at N = 1031.
 UNPADDED_PRIME_LIMIT = 61
 
 
@@ -86,12 +89,15 @@ def circulant(diagonal: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     It is the cyclic convolution of x with c = ifft(diagonal). Up to
     NAIVE_CUTOFF it is ``circulant_matrix(diagonal).dot``. Above, it is one
     FFT pair: of length N with response ``diagonal`` while N's prime
-    factors stay within UNPADDED_PRIME_LIMIT, else of the smallest fast
-    length M >= 2N - 1 with the wrapped kernel (c[0..N-1] at the front,
-    c[1..N-1] at the tail), so the linear convolution's first N entries
-    are the cyclic one. The choice depends on N alone. The product is
-    returned bare: callers pass arrays of the diagonal's size, since
-    np.fft would silently pad or cut any other length.
+    factors stay within UNPADDED_PRIME_LIMIT, else the linear convolution
+    with the wrapped kernel (c[0..N-1] at the front, c[1..N-1] at the
+    tail) zero-padded to M = 2L, L = _fast_length(N), whose first N
+    entries are the cyclic one, as one pair of length L over two rows.
+    The choice depends on N alone. The product is returned bare: callers
+    pass arrays of the diagonal's size, since np.fft would silently pad or
+    cut any other length; the padded product checks the shape itself. It
+    stages its input in a buffer of its own, so no two threads may run
+    one padded product at once.
     """
     diagonal = np.asarray(diagonal, dtype=np.complex128)
     if diagonal.ndim != 1 or diagonal.size < 1:
@@ -100,17 +106,39 @@ def circulant(diagonal: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     if size <= NAIVE_CUTOFF:
         return circulant_matrix(diagonal).dot  # skips @'s dispatch: 0.8 against 1.2 us
     if _has_factors_at_most(size, UNPADDED_PRIME_LIMIT):
-        length, response = size, diagonal
-    else:
-        kernel = np.fft.ifft(diagonal)
-        length = _fast_length(2 * size - 1)
-        wrapped = np.zeros(length, dtype=np.complex128)
-        wrapped[:size] = kernel
-        wrapped[length - size + 1:] = kernel[1:]
-        response = np.fft.fft(wrapped)
+        def apply(values: np.ndarray) -> np.ndarray:
+            return np.fft.ifft(np.fft.fft(values, size) * diagonal)
+
+        return apply
+    # R = FFT_M(wrapped kernel). As x fills the first half, FFT_M(x) is
+    # FFT_L(x) at the even bins and FFT_L(w x) at the odd ones, with
+    # w[n] = exp(-i pi n / L), and the first N entries of IFFT_M(R FFT_M(x))
+    # are (IFFT_L(R_even X_even) + conj(w) IFFT_L(R_odd X_odd)) / 2. The
+    # 1/2 goes into the response; so does the sign of conj(w[n]) =
+    # -w[L - n], which lets one table of w[0..L] serve both twists.
+    kernel = np.fft.ifft(diagonal)
+    half = _fast_length(size)
+    wrapped = np.zeros(2 * half, dtype=np.complex128)
+    wrapped[:size] = kernel
+    wrapped[2 * half - size + 1:] = kernel[1:]
+    spectrum = np.fft.fft(wrapped)
+    response = np.stack((0.5 * spectrum[0::2], -0.5 * spectrum[1::2]))
+    table = np.exp(-1j * np.pi / half * np.arange(half + 1))
+    twist, untwist = table[:size], table[half:half - size:-1]
+    staged = np.zeros((2, half), dtype=np.complex128)  # the tail stays zero
+    head = staged[:, :size]
 
     def apply(values: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(np.fft.fft(values, length) * response)[:size]
+        if values.shape != (size,):
+            raise DimensionError(f"padded circulant of size {size} given shape {values.shape}")
+        head[0] = values
+        np.multiply(values, twist, out=head[1])
+        spectrum = np.fft.fft(staged)
+        spectrum *= response
+        out = np.fft.ifft(spectrum)
+        result = out[1, :size] * untwist
+        result += out[0, :size]
+        return result
 
     return apply
 

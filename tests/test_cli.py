@@ -3,9 +3,11 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -338,6 +340,40 @@ def test_interrupt_and_out_of_memory_end_in_exit_codes(
     assert truncated and records == clean[:195]
     files = ["_file"] if fmt == "json" else ["_dist_file", "_summary_file"]
     assert all(getattr(sinks[0], name).closed for name in files)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sigterm_ends_in_exit_143_with_markers(tmp_path, fmt):
+    # the console entry point's handler raises in the main thread, so the
+    # sink ends its output in the marker; the run would take minutes, and
+    # is terminated once its output has grown past the header
+    path = tmp_path / f"run.{fmt}"
+    doc = {**failure_doc(steps=10**7), "output": {"format": fmt, "path": str(path)}}
+    argv = [sys.executable, "-m", "stockwave", "evolve", "--config", write_config(tmp_path, doc)]
+    header = len(cli.DIST_HEADER if fmt == "csv" else '{\n  "n": 21,\n  "records": [') + 1
+    run = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not path.exists() or path.stat().st_size <= header:
+            assert run.poll() is None and time.monotonic() < deadline, run.returncode
+            time.sleep(0.01)
+        run.send_signal(signal.SIGTERM)
+        out, err = run.communicate(timeout=60)
+    except BaseException:
+        run.kill()
+        run.communicate()
+        raise
+    assert run.returncode == 143 and err == "stockwave: terminated\n" and out == ""
+    if fmt == "json":
+        document = json.loads(path.read_text())
+        assert document["truncated"] and document["records"]
+    else:
+        # whole blocks in each file, the first at least; the distributions
+        # are written first, so the summary may be a block behind
+        _, rows = read_csv(path)
+        _, srows = read_csv(tmp_path / "run_summary.csv")
+        assert rows[-1][0] == srows[-1][0] == "TRUNCATED"
+        assert (len(rows) - 1) % 21 == 0 and len(rows) - 1 >= 21 * 195 and len(srows) - 1 >= 195
 
 
 # at N = 4 a block holds 4096 // 4 = 1024 records, each block one write

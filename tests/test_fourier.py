@@ -183,10 +183,11 @@ def test_circulant_matches_defining_sums(size, seed):
         34,
         64,
         2 * UNPADDED_PRIME_LIMIT,  # length N
-        67,  # padded to 135; 2N - 2 = 132 is fast, so M >= 2N - 2 would alias
-        83,  # padded to exactly 2N - 1 = 165: head and tail meet
+        67,  # padded to M = 2L = 140
+        83,  # padded to M = 168: L = N + 1, the least slack
         1031,
         2062,  # padded: a prime and twice a prime
+        2063,  # an odd half length, L = 2079
     ],
 )
 def test_circulant_realizations_match_defining_sums(size):
@@ -195,6 +196,25 @@ def test_circulant_realizations_match_defining_sums(size):
 
 def test_circulant_padded_lengths():
     assert [_fast_length(n) for n in (1, 13, 133, 2061, 4123)] == [1, 14, 135, 2079, 4125]
+    assert _fast_length(1031) == 1050  # the half length L of a padded product at N = 1031
+
+
+@pytest.mark.parametrize("shape", [(1,), (1030,), (1032,), (2062,), (1, 1031)])
+def test_padded_circulant_rejects_other_shapes(shape):
+    # np.fft would pad or cut these silently, and the staging buffer would
+    # broadcast a single value
+    apply = circulant(np.exp(-1j * np.arange(1031) ** 2 / 1031.0))
+    with pytest.raises(DimensionError):
+        apply(np.ones(shape, dtype=np.complex128))
+
+
+def test_padded_kicks_keep_the_norm_over_a_long_run():
+    size = 1031
+    kick = circulant(np.exp(-0.5j * 0.01 * np.arange(size) ** 2))  # K(dt), mu = 1
+    values = _unit_state(7, size)
+    for _ in range(2000):
+        values = kick(values)
+    assert abs(np.linalg.norm(values) - 1.0) < 1e-12
 
 
 def test_circulant_matrix_indexes_the_kernel():

@@ -59,3 +59,12 @@ def test_readme_scenario_runs_through_the_module(tmp_path):
     assert len((tmp_path / "run.csv").read_text().splitlines()) == 106
     assert len((tmp_path / "run_summary.csv").read_text().splitlines()) == 6
     assert run("evolve", "--config", "stdout.json").splitlines()[-1].startswith("2000,")
+    # a prime N, so the kicks run zero-padded, as two half-length rows
+    doc = json.loads(scenario)
+    doc.update(N=1031, output={"format": "csv", "path": "prime.csv", "record_every": 10})
+    doc["evolution"]["steps"] = 20
+    (tmp_path / "prime.json").write_text(json.dumps(doc))
+    run("evolve", "--config", "prime.json")
+    # a header and 3 records (steps 0, 10 and 20) of 1031 rows, and 3 summary rows
+    assert len((tmp_path / "prime.csv").read_text().splitlines()) == 3094
+    assert len((tmp_path / "prime_summary.csv").read_text().splitlines()) == 4
