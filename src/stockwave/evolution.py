@@ -16,10 +16,12 @@ Feit-Fleck-Steiger form), so the m steps between two records run as
 and the kicks split again only where a record is taken. One lazy
 generator, ``_strang_steps``, runs every step of a run this way and
 yields the state at each record step; it is the one step body. Each
-kick F^-1 diag(K) F is a fixed cyclic convolution, built once per run by
-``fourier.circulant``: one dense product for N <= NAIVE_CUTOFF, otherwise
-one FFT pair, of length N, or, when N has a large prime factor, over the
-two half-length rows of a zero-padded convolution. A run thus
+kick F^-1 diag(K) F is a fixed cyclic convolution. ``_kicks`` builds
+K(dt/2) and K(dt) once per run, from one ``fourier.circulant`` call on
+their (2, N) phases: one dense product each for N <= NAIVE_CUTOFF,
+otherwise one FFT pair each, of length N, or, when N has a large prime
+factor, over the two half-length rows of a zero-padded convolution, the
+two kicks sharing one staging buffer and one twist table. A run thus
 costs 2 transforms per step plus 2 per record interval (one matrix
 product per step plus one for small N), and no step goes through the
 owner basis and back. Records are taken in blocks: ``record_blocks``
@@ -228,25 +230,23 @@ class TrajectoryRecord:
     norm_error: float
 
 
-def _kick(size: int, duration: float, mu: float) -> Callable:
-    """Kinetic kick exp(-i*duration*O^2/(2*mu)) as a circulant operator on
-    price amplitudes; in the owner basis it is exp(-i*duration*k^2/(2*mu)).
-    The phase array itself is checked, once per kick: numpy divides a
-    complex array by 2*mu through its reciprocal, which overflows for a
-    subnormal mu even where the quotient would not."""
+def _kicks(size: int, dt: float, mu: float) -> tuple[Callable, Callable]:
+    """K(dt/2) and K(dt), the kinetic kicks exp(-i*duration*O^2/(2*mu)) as
+    circulant operators on price amplitudes, from one ``circulant`` call;
+    in the owner basis they are exp(-i*duration*k^2/(2*mu)). The (2, N)
+    phase array itself is checked, once per run: numpy divides a complex
+    array by 2*mu through its reciprocal, which overflows for a subnormal
+    mu even where the quotient would not."""
+    durations = dt / 2.0, dt
     k = np.arange(size, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        phase = -1j * duration * k * k / (2.0 * mu)
-    if not np.isfinite(phase).all():
+        phases = -1j * np.array(durations)[:, None] * k * k / (2.0 * mu)
+    finite = np.isfinite(phases).all(axis=1)
+    if not finite.all():  # name the first kick whose phase is not finite
         raise NumericalConsistencyError(
-            f"kinetic phase is not finite for a kick of duration {duration!r}"
+            f"kinetic phase is not finite for a kick of duration {durations[finite.argmin()]!r}"
         )
-    return circulant(np.exp(phase))
-
-
-def _kicks(size: int, dt: float, mu: float) -> tuple[Callable, Callable]:
-    """K(dt/2) and K(dt)."""
-    return _kick(size, dt / 2.0, mu), _kick(size, dt, mu)
+    return circulant(np.exp(phases, out=phases))  # in place: 32 B per level off the peak
 
 
 def _phases(potential: Potential, size: int, dt: float) -> Callable[[float], np.ndarray]:

@@ -12,10 +12,13 @@ products never lose precision.
 
 An owner-diagonal operator F^-1 diag(d) F is circulant: the dense form
 is ``circulant_matrix``, O(N^2) from one inverse FFT of d, and
-``circulant`` returns its product as a cyclic convolution: that matrix's
-``dot`` on small lattices, else one FFT pair, of length N or, when N has
-a large prime factor, over the two rows of length L of a convolution
-zero-padded to 2L, L >= N a fast length.
+``circulant`` builds the products of a (K, N) stack of diagonals in one
+call, each a cyclic convolution: that matrix's ``dot`` on small
+lattices, else one FFT pair, of length N or, when N has a large prime
+factor, over the two rows of length L of a convolution zero-padded to
+2L, L >= N a fast length. The FFT products check the shape of their
+input, and the padded products of one call share one staging buffer and
+one twist table, so only their responses cost memory per diagonal.
 """
 from __future__ import annotations
 
@@ -83,64 +86,72 @@ def circulant_matrix(diagonal) -> np.ndarray:
     return kernel[np.subtract.outer(index, index) % kernel.size]
 
 
-def circulant(diagonal: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The product x -> F^-1 diag(diagonal) F x, built once.
+def circulant(diagonals: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], ...]:
+    """The products x -> F^-1 diag(d) F x, one per row d of a (K, N) stack
+    of diagonals, built together.
 
-    It is the cyclic convolution of x with c = ifft(diagonal). Up to
-    NAIVE_CUTOFF it is ``circulant_matrix(diagonal).dot``. Above, it is one
-    FFT pair: of length N with response ``diagonal`` while N's prime
-    factors stay within UNPADDED_PRIME_LIMIT, else the linear convolution
-    with the wrapped kernel (c[0..N-1] at the front, c[1..N-1] at the
-    tail) zero-padded to M = 2L, L = _fast_length(N), whose first N
-    entries are the cyclic one, as one pair of length L over two rows.
-    The choice depends on N alone. The product is returned bare: callers
-    pass arrays of the diagonal's size, since np.fft would silently pad or
-    cut any other length; the padded product checks the shape itself. It
-    stages its input in a buffer of its own, so no two threads may run
-    one padded product at once.
+    Each is the cyclic convolution of x with c = ifft(d). Up to
+    NAIVE_CUTOFF it is ``circulant_matrix(d).dot``. Above, it is one FFT
+    pair: of length N with response d while N's prime factors stay within
+    UNPADDED_PRIME_LIMIT, else the linear convolution with the wrapped
+    kernel (c[0..N-1] at the front, c[1..N-1] at the tail) zero-padded to
+    M = 2L, L = _fast_length(N), whose first N entries are the cyclic one,
+    as one pair of length L over two rows. The realization depends on N
+    alone, so it is chosen once for the whole stack. The dense products
+    are returned bare: callers pass arrays of shape (N,). An FFT product
+    raises DimensionError for any other shape, which np.fft would pad or
+    cut silently. The padded products of one call share one (2, L) staging
+    buffer and one twist table and differ only in their (2, L) response,
+    so no two products of one call may run at once, as from two threads.
     """
-    diagonal = np.asarray(diagonal, dtype=np.complex128)
-    if diagonal.ndim != 1 or diagonal.size < 1:
-        raise DimensionError(f"circulant diagonal has shape {diagonal.shape}")
-    size = diagonal.size
+    diagonals = np.asarray(diagonals, dtype=np.complex128)
+    if diagonals.ndim != 2 or diagonals.size < 1:
+        raise DimensionError(f"circulant diagonals have shape {diagonals.shape}")
+    size = diagonals.shape[1]
     if size <= NAIVE_CUTOFF:
-        return circulant_matrix(diagonal).dot  # skips @'s dispatch: 0.8 against 1.2 us
-    if _has_factors_at_most(size, UNPADDED_PRIME_LIMIT):
-        def apply(values: np.ndarray) -> np.ndarray:
-            return np.fft.ifft(np.fft.fft(values, size) * diagonal)
+        # .dot skips @'s dispatch: 0.8 against 1.2 us
+        return tuple(circulant_matrix(diagonal).dot for diagonal in diagonals)
 
-        return apply
+    def checked(values: np.ndarray) -> np.ndarray:
+        if values.shape != (size,):
+            raise DimensionError(f"circulant of size {size} given shape {values.shape}")
+        return values
+
+    if _has_factors_at_most(size, UNPADDED_PRIME_LIMIT):
+        def unpadded(diagonal: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+            return lambda values: np.fft.ifft(np.fft.fft(checked(values)) * diagonal)
+
+        return tuple(map(unpadded, diagonals))
     # R = FFT_M(wrapped kernel). As x fills the first half, FFT_M(x) is
     # FFT_L(x) at the even bins and FFT_L(w x) at the odd ones, with
     # w[n] = exp(-i pi n / L), and the first N entries of IFFT_M(R FFT_M(x))
     # are (IFFT_L(R_even X_even) + conj(w) IFFT_L(R_odd X_odd)) / 2. The
     # 1/2 goes into the response; so does the sign of conj(w[n]) =
     # -w[L - n], which lets one table of w[0..L] serve both twists.
-    kernel = np.fft.ifft(diagonal)
     half = _fast_length(size)
-    wrapped = np.zeros(2 * half, dtype=np.complex128)
-    wrapped[:size] = kernel
-    wrapped[2 * half - size + 1:] = kernel[1:]
-    spectrum = np.fft.fft(wrapped)
-    response = np.stack((0.5 * spectrum[0::2], -0.5 * spectrum[1::2]))
     table = np.exp(-1j * np.pi / half * np.arange(half + 1))
     twist, untwist = table[:size], table[half:half - size:-1]
     staged = np.zeros((2, half), dtype=np.complex128)  # the tail stays zero
     head = staged[:, :size]
 
-    def apply(values: np.ndarray) -> np.ndarray:
-        if values.shape != (size,):
-            raise DimensionError(f"padded circulant of size {size} given shape {values.shape}")
-        head[0] = values
-        np.multiply(values, twist, out=head[1])
-        spectrum = np.fft.fft(staged)
-        spectrum *= response
-        out = np.fft.ifft(spectrum)
-        result = out[1, :size] * untwist
-        result += out[0, :size]
-        return result
+    def padded(diagonal: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        # one diagonal at a time, so no temporary spans the whole stack
+        kernel = np.fft.ifft(diagonal)
+        spectrum = np.fft.fft(np.concatenate((kernel, np.zeros(2 * (half - size) + 1), kernel[1:])))
+        response = np.stack((0.5 * spectrum[0::2], -0.5 * spectrum[1::2]))
 
-    return apply
+        def apply(values: np.ndarray) -> np.ndarray:
+            head[0] = checked(values)
+            np.multiply(values, twist, out=head[1])
+            spectrum = np.fft.fft(staged)
+            out = np.fft.ifft(np.multiply(spectrum, response, out=spectrum))
+            result = out[1, :size] * untwist
+            result += out[0, :size]
+            return result
+
+        return apply
+
+    return tuple(map(padded, diagonals))
 
 
 def forward(phi) -> LatticeFunction:

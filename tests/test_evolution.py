@@ -671,6 +671,22 @@ def test_padded_kick_matches_exact_propagator_at_prime_size(free_prime_run, reco
     assert np.max(np.abs(final.state.values - exact)) < 1e-10
 
 
+@pytest.mark.parametrize("size", [1031, 16411])
+def test_padded_kicks_retain_under_120_bytes_per_level(size):
+    # K(dt/2) and K(dt) keep a (2, L) response each and share one (2, L)
+    # staging buffer and one L + 1 twist table, ~112 B per level at L ~ N;
+    # a buffer and a table per kick would retain ~160
+    _kicks(size, 0.01, 1.0)  # warm
+    tracemalloc.start()
+    try:
+        kicks = _kicks(size, 0.01, 1.0)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kicks) == 2
+    assert retained <= 120 * size, retained / size
+
+
 def test_distribution_helpers_accept_every_evolve_record():
     # the README packet: by step 10,000 the norm has drifted ~2e-12, well
     # inside the conservation budget, and the helpers must still take it

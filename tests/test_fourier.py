@@ -152,7 +152,7 @@ def _check_circulant(size, seed):
     rng = np.random.default_rng(seed)
     diagonal = np.exp(-1j * rng.uniform(-50.0, 50.0) * np.arange(size) ** 2 / size)
     values = _unit_state(seed, size)
-    out = circulant(diagonal)(values)
+    out = circulant(diagonal[None])[0](values)
     assert out.shape == (size,)
     assert np.max(np.abs(out - _kick_by_defining_sums(diagonal, values))) < 1e-12
     assert abs(np.linalg.norm(out) - 1.0) < 1e-13
@@ -199,18 +199,39 @@ def test_circulant_padded_lengths():
     assert _fast_length(1031) == 1050  # the half length L of a padded product at N = 1031
 
 
-@pytest.mark.parametrize("shape", [(1,), (1030,), (1032,), (2062,), (1, 1031)])
+OTHER_SHAPES = [
+    lambda n: (1,), lambda n: (n - 1,), lambda n: (n + 1,), lambda n: (2 * n,), lambda n: (1, n),
+]
+
+
+@pytest.mark.parametrize("shape", OTHER_SHAPES, ids=[f"shape{i}" for i in range(len(OTHER_SHAPES))])
 def test_padded_circulant_rejects_other_shapes(shape):
-    # np.fft would pad or cut these silently, and the staging buffer would
-    # broadcast a single value
-    apply = circulant(np.exp(-1j * np.arange(1031) ** 2 / 1031.0))
-    with pytest.raises(DimensionError):
-        apply(np.ones(shape, dtype=np.complex128))
+    # np.fft would pad or cut these silently, and the padded product's
+    # staging buffer would broadcast a single value. The length-N products
+    # at 64 and 2 * UNPADDED_PRIME_LIMIT take the same check as the padded
+    # one at 1031; the sizes are looped, so each shape keeps one test id
+    for size in (64, 2 * UNPADDED_PRIME_LIMIT, 1031):
+        apply = circulant(np.exp(-1j * np.arange(size) ** 2 / size)[None])[0]
+        with pytest.raises(DimensionError):
+            apply(np.ones(shape(size), dtype=np.complex128))
+
+
+@pytest.mark.parametrize("size", [2 * UNPADDED_PRIME_LIMIT, 1031, 2063])
+def test_products_of_one_build_do_not_leak_into_each_other(size):
+    # K(dt/2) and K(dt) of one build, alternating as between two records;
+    # the padded pair (1031, 2063) shares one staging buffer and twist table
+    diagonals = np.exp(-1j * np.outer([0.5, 1.0], np.arange(size) ** 2) / size)
+    products = circulant(diagonals)
+    values = _unit_state(size, size)
+    for call in range(20):
+        expected = _kick_by_defining_sums(diagonals[call % 2], values)
+        values = products[call % 2](values)
+        assert np.max(np.abs(values - expected)) < 1e-12
 
 
 def test_padded_kicks_keep_the_norm_over_a_long_run():
     size = 1031
-    kick = circulant(np.exp(-0.5j * 0.01 * np.arange(size) ** 2))  # K(dt), mu = 1
+    kick = circulant(np.exp(-0.5j * 0.01 * np.arange(size) ** 2)[None])[0]  # K(dt), mu = 1
     values = _unit_state(7, size)
     for _ in range(2000):
         values = kick(values)
@@ -228,7 +249,9 @@ def test_circulant_matrix_indexes_the_kernel():
 
 def test_circulant_size_mismatch():
     with pytest.raises(DimensionError):
-        circulant(np.ones((2, 2)))
+        circulant(np.ones((1, 2, 2)))
+    with pytest.raises(DimensionError):  # one diagonal, not a stack of them
+        circulant(np.ones(4))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
