@@ -284,13 +284,16 @@ def _strang_steps(values, t0, dt, steps, record_every, phase, half_kick, full_ki
     Step s multiplies in the potential phase at its midpoint,
     phase(t0 + (s - 1) * dt + dt / 2); between two records the inner half
     kicks merge: K(dt/2) . V . K(dt) . V ... V . K(dt/2). The kicks are
-    the circulant operators of ``_kicks``. Lazy: a step runs only when the
-    record after it is asked for.
+    the circulant operators of ``_kicks``; the phase is multiplied into
+    each kick's fresh output, which allocates nothing, and a yielded array
+    is never written again. Lazy: a step runs only when the record after
+    it is asked for.
     """
     yield 0, t0, values
     kick = half_kick
     for step in range(1, steps + 1):
-        values = kick(values) * phase(t0 + (step - 1) * dt + dt / 2.0)
+        values = kick(values)
+        values *= phase(t0 + (step - 1) * dt + dt / 2.0)
         if step % record_every and step < steps:
             kick = full_kick
         else:

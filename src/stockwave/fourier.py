@@ -17,8 +17,10 @@ call, each a cyclic convolution: that matrix's ``dot`` on small
 lattices, else one FFT pair, of length N or, when N has a large prime
 factor, over the two rows of length L of a convolution zero-padded to
 2L, L >= N a fast length. The FFT products check the shape of their
-input, and the padded products of one call share one staging buffer and
-one twist table, so only their responses cost memory per diagonal.
+input and transform in place: a length-N product inverts into its own
+forward spectrum, and the padded products of one call share one staging
+buffer, whose tail each re-zeroes, and one twist table, so only their
+responses cost memory per diagonal and a call allocates its output.
 """
 from __future__ import annotations
 
@@ -100,9 +102,13 @@ def circulant(diagonals: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray]
     alone, so it is chosen once for the whole stack. The dense products
     are returned bare: callers pass arrays of shape (N,). An FFT product
     raises DimensionError for any other shape, which np.fft would pad or
-    cut silently. The padded products of one call share one (2, L) staging
-    buffer and one twist table and differ only in their (2, L) response,
-    so no two products of one call may run at once, as from two threads.
+    cut silently. An FFT product transforms in buffers it holds, so it
+    allocates only its output: the length-N one inverts into its own
+    forward spectrum; the padded ones of one call share one twist table
+    and one (2, L) staging buffer, which each fills, re-zeroes in its
+    L - N tail and transforms in place, and differ only in their (2, L)
+    response. So no two products of one call may run at once, as from two
+    threads.
     """
     diagonals = np.asarray(diagonals, dtype=np.complex128)
     if diagonals.ndim != 2 or diagonals.size < 1:
@@ -119,7 +125,12 @@ def circulant(diagonals: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray]
 
     if _has_factors_at_most(size, UNPADDED_PRIME_LIMIT):
         def unpadded(diagonal: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-            return lambda values: np.fft.ifft(np.fft.fft(checked(values)) * diagonal)
+            def apply(values: np.ndarray) -> np.ndarray:
+                spectrum = np.fft.fft(checked(values))
+                spectrum *= diagonal
+                return np.fft.ifft(spectrum, out=spectrum)
+
+            return apply
 
         return tuple(map(unpadded, diagonals))
     # R = FFT_M(wrapped kernel). As x fills the first half, FFT_M(x) is
@@ -131,8 +142,8 @@ def circulant(diagonals: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray]
     half = _fast_length(size)
     table = np.exp(-1j * np.pi / half * np.arange(half + 1))
     twist, untwist = table[:size], table[half:half - size:-1]
-    staged = np.zeros((2, half), dtype=np.complex128)  # the tail stays zero
-    head = staged[:, :size]
+    staged = np.empty((2, half), dtype=np.complex128)
+    head, tail = staged[:, :size], staged[:, size:]
 
     def padded(diagonal: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         # one diagonal at a time, so no temporary spans the whole stack
@@ -143,10 +154,12 @@ def circulant(diagonals: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray]
         def apply(values: np.ndarray) -> np.ndarray:
             head[0] = checked(values)
             np.multiply(values, twist, out=head[1])
-            spectrum = np.fft.fft(staged)
-            out = np.fft.ifft(np.multiply(spectrum, response, out=spectrum))
-            result = out[1, :size] * untwist
-            result += out[0, :size]
+            tail[...] = 0.0  # the last product left its convolution there
+            np.fft.fft(staged, out=staged)
+            np.multiply(staged, response, out=staged)
+            np.fft.ifft(staged, out=staged)
+            result = head[1] * untwist
+            result += head[0]
             return result
 
         return apply

@@ -285,6 +285,48 @@ def test_fused_segment_memory_does_not_grow_with_steps():
     assert peak < 32 * 16 * size
 
 
+@pytest.mark.parametrize("size", [1031, 16411])
+def test_padded_step_allocates_only_order_n(size):
+    # a step holds the state, the kick's output and the new phase (16 B per
+    # level each) and the phase's angle (8 B); a fresh spectrum per kick
+    # and a fresh product with the phase would add ~56 B more
+    dt, mu = 1e-3, 1.0
+    values = gaussian_packet(PacketParams(ThetaParams(1.0, size), size // 3, 2)).values
+
+    def run():
+        phase, kicks = _phases(_modulated_trap(size), size, dt), _kicks(size, dt, mu)
+        return _strang_steps(values, 0.0, dt, 10, 10, phase, *kicks)
+
+    list(run())  # warm
+    steps = run()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        for _ in steps:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 72 * size, (peak - start) / size
+
+
+def test_steps_never_write_caller_or_yielded_arrays():
+    # kicks and phases are applied in place only to arrays a step made:
+    # the initial state and every yielded state keep their bytes
+    size = 1031
+    phi0 = gaussian_packet(PacketParams(ThetaParams(1.0, size), 300, 2))
+    initial = phi0.values.copy()
+    dt, mu, trap = 1e-3, 1.0, _modulated_trap(size)
+    records = evolve(phi0, EvolutionParams(mu=mu, dt=dt, steps=12, t0=0.25), trap, 3)
+    kept = [(r.state.values, r.state.values.copy()) for r in records]
+    steps = _strang_steps(phi0.values, 0.25, dt, 12, 3, _phases(trap, size, dt), *_kicks(size, dt, mu))
+    kept += [(values, values.copy()) for _, _, values in steps]
+    assert len(kept) == 10
+    assert np.array_equal(phi0.values.view(np.uint8), initial.view(np.uint8))
+    for values, copy in kept:
+        assert np.array_equal(values.view(np.uint8), copy.view(np.uint8))
+
+
 def test_segment_memory_is_flat_in_record_every():
     # each step computes its own midpoint; a list of one record
     # interval's midpoints would hold record_every floats, ~590 KB more
