@@ -9,7 +9,10 @@ underflow to 0), and expressible through the theta series as
 gamma_kappa(n) = theta3(n/N, i/(kappa*N)) / sqrt(kappa*N). Its transform
 stays in the family, F[gamma_kappa] = gamma_{1/kappa} / sqrt(kappa), so
 the normalized comb Upsilon_kappa = gamma_kappa / ||gamma_kappa||
-satisfies F[Upsilon_kappa] = Upsilon_{1/kappa}. A packet
+satisfies F[Upsilon_kappa] = Upsilon_{1/kappa}. That duality is also how
+a comb wider than one lattice spacing (kappa*N < 1) is built: as the
+transform of its narrow dual, so every comb is one short translate sum
+and ``theta3`` serves only as an oracle. A packet
 
     Psi(n) = exp(2*pi*i*k0*n/N) * Upsilon_kappa(n - n0)
 
@@ -40,10 +43,11 @@ class ThetaParams:
             raise ValueError("kappa must be a positive finite real")
         if self.size < 1:
             raise ValueError("size must be >= 1")
-        # the dual comb takes 1/kappa, the theta series 1/(kappa*N) <= 1/kappa
-        if not math.isfinite(1.0 / self.kappa):
-            raise ValueError(f"kappa {self.kappa!r} is so small that 1/kappa overflows")
-        if not math.isfinite(self.kappa * math.pi):  # the comb's exponent rate
+        # the exponent rates of the comb and of its dual, which builds it for
+        # kappa*N < 1: the range is symmetric under kappa -> 1/kappa
+        if not math.isfinite(math.pi / self.kappa):
+            raise ValueError(f"kappa {self.kappa!r} is so small that pi/kappa overflows")
+        if not math.isfinite(self.kappa * math.pi):
             raise ValueError(f"kappa {self.kappa!r} is so large that kappa*pi overflows")
 
 
@@ -90,13 +94,23 @@ def theta3(z: float, t: float) -> float:
     return total
 
 
-def _translate_window(kappa: float, size: int) -> int:
+def _translate_window(rate: float, size: int) -> int:
     # Smallest M whose first omitted translate (m = -(M+1) at n = N-1,
     # exponent argument (M*N + 1)^2) is already below the floor.
     m = 1
-    while math.exp(-kappa * math.pi / size * (m * size + 1) ** 2) >= COMB_TERM_FLOOR:
+    while math.exp(-rate / size * (m * size + 1) ** 2) >= COMB_TERM_FLOOR:
         m += 1
     return m
+
+
+def _translate_sum(rate: float, size: int) -> np.ndarray:
+    """sum_m exp(-rate/N * (m*N + n)^2) over the translates above the floor:
+    the comb of kappa = rate/pi."""
+    window = _translate_window(rate, size)
+    n = np.arange(size)[:, None]
+    m = np.arange(-window, window + 1)[None, :]
+    with np.errstate(over="ignore"):  # an exponent of -inf gives exp's limit, 0
+        return np.exp(-rate / size * (m * size + n) ** 2).sum(axis=1)
 
 
 def gamma_state(params: ThetaParams) -> LatticeFunction:
@@ -104,21 +118,16 @@ def gamma_state(params: ThetaParams) -> LatticeFunction:
     entries far from a peak may underflow to 0.
 
     For kappa*N >= 1 it is the translate sum, a few translates wide. Below
-    that the translates would number ~1/(kappa*N), so the comb is summed
-    as its theta series theta3(n/N, 1/(kappa*N)) / sqrt(kappa*N) instead,
-    whose terms then fall faster than exp(-pi*a^2): at most three of them
-    reach the cutoff.
+    that the translates would number ~1/(kappa*N), so the comb is built
+    from its dual instead, gamma_kappa = F^-1[gamma_{1/kappa}] / sqrt(kappa):
+    the dual has (1/kappa)*N > N, so its translate sum is at most a few
+    translates wide too, and one inverse FFT follows.
     """
     kappa, size = params.kappa, params.size
     if kappa * size < 1.0:
-        t = 1.0 / (kappa * size)
-        return LatticeFunction([theta3(n / size, t) / math.sqrt(kappa * size) for n in range(size)])
-    window = _translate_window(kappa, size)
-    n = np.arange(size)[:, None]
-    m = np.arange(-window, window + 1)[None, :]
-    with np.errstate(over="ignore"):  # an exponent of -inf gives exp's limit, 0
-        values = np.exp(-kappa * np.pi / size * (m * size + n) ** 2).sum(axis=1)
-    return LatticeFunction(values)
+        dual = _translate_sum(math.pi / kappa, size)
+        return LatticeFunction(np.fft.ifft(dual, norm="ortho").real / math.sqrt(kappa))
+    return LatticeFunction(_translate_sum(kappa * math.pi, size))
 
 
 def upsilon_state(params: ThetaParams) -> NormalizedState:

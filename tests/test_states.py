@@ -1,9 +1,10 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stockwave import (
     PacketParams,
@@ -51,7 +52,17 @@ def test_theta_params_reject_kappa_whose_reciprocal_overflows():
     for kappa in (1e-310, 5.56e-309):  # subnormal; 1/kappa is inf
         with pytest.raises(ValueError, match="overflows"):
             ThetaParams(kappa, 21)
+    # the dual comb's exponent rate pi/kappa must be finite too
+    with pytest.raises(ValueError, match="pi/kappa overflows"):
+        ThetaParams(1e-308, 21)
     assert upsilon_state(ThetaParams(1e-300, 21)).size == 21
+    smallest = math.pi / sys.float_info.max
+    while not math.isfinite(math.pi / smallest):
+        smallest = math.nextafter(smallest, 1.0)
+    with pytest.raises(ValueError, match="pi/kappa overflows"):
+        ThetaParams(math.nextafter(smallest, 0.0), 21)
+    comb = upsilon_state(ThetaParams(smallest, 21)).values
+    assert np.allclose(comb, 1.0 / math.sqrt(21), rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.filterwarnings("error")
@@ -76,11 +87,17 @@ def test_gamma_matches_theta_route():
 
 
 def test_gamma_is_real_positive_and_symmetric():
-    values = gamma_state(ThetaParams(0.8, 21)).values
-    assert np.all(values.imag == 0.0)
-    assert np.all(values.real > 0.0)
-    for n in range(1, 21):
-        assert values[n] == pytest.approx(values[21 - n], rel=1e-15)
+    # 0.02 and 1e-14 are below unit width at N = 21, 1e-14 at the prime
+    # 1031. Those combs come through an FFT, symmetric to its rounding: up
+    # to 1.6e-15 relative where the length is a large prime (Bluestein).
+    for size in (21, 1031):
+        for kappa in (0.8, 0.02, 1e-14):
+            values = gamma_state(ThetaParams(kappa, size)).values
+            assert np.all(values.imag == 0.0)
+            assert np.all(values.real > 0.0)
+            rel = 1e-15 if kappa * size >= 1.0 else 4e-15
+            for n in range(1, size):
+                assert values[n] == pytest.approx(values[size - n], rel=rel)
 
 
 def test_gamma_fourier_scaling():
@@ -112,14 +129,36 @@ def test_comb_duality_property(size, kappa):
     assert np.max(np.abs(out.values - dual.values)) < 1e-12
 
 
-def test_comb_below_unit_width_is_its_theta_series():
-    # kappa*N < 1 sums the theta series; the translate sum is the oracle
-    size, kappa = 21, 0.02
-    n = np.arange(size)[:, None]
-    m = np.arange(-40, 41)[None, :]
-    direct = np.exp(-kappa * np.pi / size * (m * size + n) ** 2).sum(axis=1)
-    comb = gamma_state(ThetaParams(kappa, size)).values.real
-    assert np.max(np.abs(comb - direct) / direct) < 1e-14
+@st.composite
+def _sub_unit_combs(draw):
+    size = draw(st.one_of(st.integers(1, 512), st.sampled_from(primes_to(512)), st.just(2**16)))
+    kappa = math.exp(draw(st.floats(math.log(1e-300), math.log(1.0 / size), exclude_max=True)))
+    assume(kappa * size < 1.0)
+    return size, kappa
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(comb=_sub_unit_combs())
+def test_comb_below_unit_width_is_its_theta_series(comb):
+    # kappa*N < 1 is built from the dual comb; the theta series, level by
+    # level, is the oracle
+    size, kappa = comb
+    t = 1.0 / (kappa * size)
+    series = np.array([theta3(n / size, t) for n in range(size)]) / math.sqrt(kappa * size)
+    values = gamma_state(ThetaParams(kappa, size)).values
+    assert np.all(values.imag == 0.0)
+    assert np.max(np.abs(values.real - series) / series) < 1e-14
+
+
+def test_comb_below_unit_width_needs_no_theta_series(monkeypatch):
+    def refuse(z, t):
+        raise AssertionError("theta3 is an oracle, not a builder")
+
+    monkeypatch.setattr("stockwave.states.theta3", refuse)
+    for size in (1, 2, 21, 1031):
+        for kappa in (0.5 / size, 1e-7, 1e-300):
+            comb = upsilon_state(ThetaParams(kappa, size)).values
+            assert np.all(comb.real > 0.0)
 
 
 def test_tiny_kappa_comb_memory_is_bounded():
