@@ -234,26 +234,35 @@ def _kicks(size: int, dt: float, mu: float) -> tuple[Callable, Callable]:
     """K(dt/2) and K(dt), the kinetic kicks exp(-i*duration*O^2/(2*mu)) as
     circulant operators on price amplitudes, from one ``circulant`` call;
     in the owner basis they are exp(-i*duration*k^2/(2*mu)). The (2, N)
-    phase array itself is checked, once per run: numpy divides a complex
-    array by 2*mu through its reciprocal, which overflows for a subnormal
-    mu even where the quotient would not."""
+    real angle is formed as (duration / (-2*mu)) * k^2, so it overflows
+    only where an angle itself does, and is checked once per run."""
     durations = dt / 2.0, dt
     k = np.arange(size, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        phases = -1j * np.array(durations)[:, None] * k * k / (2.0 * mu)
-    finite = np.isfinite(phases).all(axis=1)
+        angles = np.multiply.outer(np.divide(durations, -2.0 * mu), k * k)
+    finite = np.isfinite(angles).all(axis=1)
     if not finite.all():  # name the first kick whose phase is not finite
         raise NumericalConsistencyError(
             f"kinetic phase is not finite for a kick of duration {durations[finite.argmin()]!r}"
         )
-    return circulant(np.exp(phases, out=phases))  # in place: 32 B per level off the peak
+    return circulant(_unit_phasors(angles))
+
+
+def _unit_phasors(angle: np.ndarray) -> np.ndarray:
+    """exp(i*angle) of a real angle array, as its cos and sin: the complex
+    exp's values at less cost. Adds 0.0 to ``angle`` in place, so a zero
+    angle gives 1 + 0i, as the complex exp does, not 1 - 0i."""
+    angle += 0.0
+    out = np.empty(angle.shape, np.complex128)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
 
 
 def _phases(potential: Potential, size: int, dt: float) -> Callable[[float], np.ndarray]:
-    """t -> exp(-i*dt*V(n, t)) as cos and sin of the real angle, the complex
-    exp's values at less cost. One scalar check for V and one for the angle
-    are exact: rounding is monotonic, so |s| * max|v| overflows exactly when
-    some s * v[n] does."""
+    """t -> exp(-i*dt*V(n, t)), the ``_unit_phasors`` of the real angle. One
+    scalar check for V and one for the angle are exact: rounding is
+    monotonic, so |s| * max|v| overflows exactly when some s * v[n] does."""
     profile = _checked(potential.profile, size)
     peak, last = float(np.abs(profile).max()), [None, None]  # last scales, phase
 
@@ -265,11 +274,7 @@ def _phases(potential: Potential, size: int, dt: float) -> Callable[[float], np.
                 raise NumericalConsistencyError(f"potential is not finite at t = {t!r}")
             if not math.isfinite(dt * bound):
                 raise NumericalConsistencyError(f"potential phase is not finite at t = {t!r}")
-            angle = -dt * _scaled(profile, scales)
-            angle += 0.0  # V = 0 gives 1 + 0i, as the complex exp does, not 1 - 0i
-            out = np.empty(size, np.complex128)
-            np.cos(angle, out=out.real)
-            np.sin(angle, out=out.imag)
+            out = _unit_phasors(-dt * _scaled(profile, scales))
             out.setflags(write=False)  # shared by the steps that reuse it
             last[:] = scales, out
         return last[1]

@@ -720,6 +720,27 @@ def test_evolve_overflow_in_a_step_exits_with_one_line(tmp_path, capsys, fmt, ov
     assert truncated and len(records) == 1  # step 0 needs no potential
 
 
+@pytest.mark.filterwarnings("error")
+def test_kinetic_phase_of_a_huge_step_is_formed_without_overflow(tmp_path, capsys):
+    # dt * k overflowed before the division by 2 mu (exit 2), though the
+    # largest phase, 1e308 / 20 * 2^2 = 2e307, is finite
+    doc = {
+        "N": 3,
+        "state": {"type": "delta", "m": 1},
+        "evolution": {"mu": 10.0, "dt": 1e308, "steps": 1},
+        "output": {"format": "csv", "path": str(tmp_path / "out.csv")},
+    }
+    assert run_cli(["--quiet", "evolve", "--config", write_config(tmp_path, doc)]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(tmp_path / "out.csv")
+    assert [row[0] for row in rows] == ["0"] * 3 + ["1"] * 3
+    for record in (rows[:3], rows[3:]):
+        for column in (3, 4):
+            assert sum(float(row[column]) for row in record) == pytest.approx(1.0, abs=1e-12)
+    _, summary = read_csv(tmp_path / "out_summary.csv")
+    assert [abs(float(row[-1])) < evolution.NORM_DRIFT_TOL for row in summary] == [True, True]
+
+
 # Scenario numbers from the subnormal 1e-320 to 1e308, either sign
 MAGNITUDES = st.floats(1e-320, 1e308)
 SIGNED = st.one_of(st.just(0.0), MAGNITUDES, MAGNITUDES.map(lambda x: -x))
