@@ -235,7 +235,8 @@ def _kicks(size: int, dt: float, mu: float) -> tuple[Callable, Callable]:
     circulant operators on price amplitudes, from one ``circulant`` call;
     in the owner basis they are exp(-i*duration*k^2/(2*mu)). The (2, N)
     real angle is formed as (duration / (-2*mu)) * k^2, so it overflows
-    only where an angle itself does, and is checked once per run."""
+    only where duration / (2*mu) or an angle itself does, and is checked
+    once per run."""
     durations = dt / 2.0, dt
     k = np.arange(size, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
