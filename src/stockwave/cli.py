@@ -2,8 +2,9 @@
 
 Commands:
     state --config FILE        price/owner distributions and summary
-    spectrum --n N [--json]    commutator eigenvalues, ascending; dense,
-                               so 2 <= N <= MAX_DENSE_SIZE (2048)
+    spectrum --n N [--json]    commutator eigenvalues, ascending; two
+                               dense N/2 x N/2 Jacobi problems, so
+                               2 <= N <= MAX_DENSE_SIZE (2048)
     uncertainty --config FILE  Robertson-relation report for the state
     evolve --config FILE       time evolution per the scenario
 
@@ -277,7 +278,7 @@ def cmd_spectrum(size: int, as_json: bool) -> int:
     if size < 2:
         raise UsageError("spectrum requires --n >= 2")
     if size > MAX_DENSE_SIZE:
-        raise UsageError(f"spectrum requires --n <= {MAX_DENSE_SIZE} (dense N x N path)")
+        raise UsageError(f"spectrum requires --n <= {MAX_DENSE_SIZE} (dense Jacobi path)")
     result = commutator_spectrum(size)
     if as_json:
         doc = {

@@ -1,10 +1,9 @@
-"""Cyclic Jacobi diagonalization for complex hermitian matrices.
+"""Cyclic Jacobi diagonalization of a real symmetric matrix.
 
-Each sweep visits every strict upper-triangle pair (p, q) and applies a
-complex Givens rotation chosen to zero H[p, q]: the off-diagonal phase is
-absorbed into the rotation, the angle solves the usual quadratic with the
-smaller root for stability. Off-diagonal Frobenius mass decreases
-monotonically; iteration stops once it falls below tol * ||H||_F.
+Each sweep visits every strict upper-triangle pair (p, q) and applies the
+Givens rotation that zeroes A[p, q], its tangent the smaller root of the
+usual quadratic for stability. Off-diagonal Frobenius mass decreases
+monotonically; iteration stops once it falls below TOL * ||A||_F.
 """
 from __future__ import annotations
 
@@ -12,99 +11,58 @@ import math
 
 import numpy as np
 
-from .errors import ContractError, ConvergenceError
+from .errors import ConvergenceError
 
-DEFAULT_TOL = 1e-13
+TOL = 1e-13
 MAX_SWEEPS = 100
 
 
-def _offdiag_frobenius(h: np.ndarray) -> float:
-    # summed directly; ||H||^2 - ||diag||^2 would cancel catastrophically
-    off = h.copy()
+def _offdiag_frobenius(a: np.ndarray) -> float:
+    # summed directly; ||A||^2 - ||diag||^2 would cancel catastrophically
+    off = a.copy()
     np.fill_diagonal(off, 0.0)
     return float(np.linalg.norm(off))
 
 
-def _rotate(h: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    hpq = h[p, q]
-    r = abs(hpq)
-    phase = hpq / r
-    tau = (h[p, p].real - h[q, q].real) / (2.0 * r)
-    if tau >= 0.0:
-        t = -1.0 / (tau + math.hypot(tau, 1.0))
-    else:
-        t = 1.0 / (-tau + math.hypot(tau, 1.0))
+def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
+    theta = (a[p, p] - a[q, q]) / (2.0 * a[p, q])
+    t = -math.copysign(1.0 / (abs(theta) + math.hypot(theta, 1.0)), theta)
     c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c * phase
-
-    col_p = h[:, p].copy()
-    col_q = h[:, q]
-    h[:, p] = c * col_p - np.conj(s) * col_q
-    h[:, q] = s * col_p + c * col_q
-    row_p = h[p, :].copy()
-    row_q = h[q, :]
-    h[p, :] = c * row_p - s * row_q
-    h[q, :] = np.conj(s) * row_p + c * row_q
-    # zero by construction; keep the matrix exactly hermitian
-    h[p, q] = 0.0
-    h[q, p] = 0.0
-    h[p, p] = h[p, p].real
-    h[q, q] = h[q, q].real
-
-    vcol_p = v[:, p].copy()
-    vcol_q = v[:, q]
-    v[:, p] = c * vcol_p - np.conj(s) * vcol_q
-    v[:, q] = s * vcol_p + c * vcol_q
+    s = t * c
+    for m in (a, v):
+        col_p = m[:, p].copy()
+        m[:, p] = c * col_p - s * m[:, q]
+        m[:, q] = s * col_p + c * m[:, q]
+    row_p = a[p, :].copy()
+    a[p, :] = c * row_p - s * a[q, :]
+    a[q, :] = s * row_p + c * a[q, :]
+    a[p, q] = a[q, p] = 0.0  # zero by construction
 
 
-def hermitian_eigensystem(
-    matrix: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = MAX_SWEEPS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns.
-
-    Raises ContractError for non-hermitian input and ConvergenceError if
-    the sweep cap is exhausted before the off-diagonal mass is gone.
-    """
-    h = np.array(matrix, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ContractError(f"expected a square matrix, got shape {h.shape}")
-    n = h.shape[0]
-    scale = max(1.0, float(np.max(np.abs(h))) if n else 1.0)
-    defect = float(np.max(np.abs(h - h.conj().T))) if n else 0.0
-    if defect > 1e-12 * scale:
-        raise ContractError(f"matrix is not hermitian: defect {defect!r}")
-    h = (h + h.conj().T) / 2.0
-    pristine = h.copy()
-
-    v = np.eye(n, dtype=np.complex128)
-    norm_f = float(np.linalg.norm(h))
-    if n == 1 or norm_f == 0.0:
-        return np.diagonal(h).real.copy(), v
-
-    threshold = tol * norm_f
+def _symmetric_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of a
+    real symmetric matrix. Raises ConvergenceError if MAX_SWEEPS sweeps
+    leave off-diagonal mass above the threshold."""
+    a = np.array(matrix, dtype=np.float64)
+    n = a.shape[0]
+    v = np.eye(n)
+    threshold = TOL * float(np.linalg.norm(matrix))
     skip = threshold / (10.0 * n)
-    converged = False
-    for _ in range(max_sweeps):
-        if _offdiag_frobenius(h) <= threshold:
-            converged = True
+    for _ in range(MAX_SWEEPS):
+        if _offdiag_frobenius(a) <= threshold:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                if abs(h[p, q]) > skip:
-                    _rotate(h, v, p, q)
+                if abs(a[p, q]) > skip:
+                    _rotate(a, v, p, q)
     else:
-        if _offdiag_frobenius(h) <= threshold:
-            converged = True
-    if not converged:
-        raise ConvergenceError(
-            f"Jacobi sweeps exhausted ({max_sweeps}) with off-diagonal mass "
-            f"{_offdiag_frobenius(h)!r}"
-        )
-
+        if _offdiag_frobenius(a) > threshold:
+            raise ConvergenceError(
+                f"Jacobi sweeps exhausted ({MAX_SWEEPS}) with off-diagonal mass "
+                f"{_offdiag_frobenius(a)!r}"
+            )
     # Rayleigh quotients against the untouched input shed the roundoff
     # accumulated across sweeps (worth ~10x on the extreme eigenvalues)
-    eigenvalues = np.real(np.einsum("ij,ij->j", v.conj(), pristine @ v))
+    eigenvalues = np.einsum("ij,ij->j", v, matrix @ v)
     order = np.argsort(eigenvalues, kind="stable")
     return eigenvalues[order], v[:, order]

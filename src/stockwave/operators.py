@@ -13,9 +13,11 @@ returns the tuple (prob_price, prob_owner, summary): both (B, N)
 distributions and the (B, 6) scalar columns. Each row is bitwise what a
 block of one gives; a single state is B = 1. This module only computes:
 which rows are valid records, and the Robertson check that decides it,
-live in ``evolution._observed``. The dense N x N operators serve the
-spectrum path and act as oracles; they are built per call in O(N^2),
-with no matrix product and no cache.
+live in ``evolution._observed``. The spectrum needs no N x N matrix:
+``commutator_spectrum`` diagonalizes two real half blocks gathered from
+the commutator's closed-form symbol. The dense N x N operators act as
+oracles; they are built per call in O(N^2), with no matrix product and
+no cache.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import hermitian_eigensystem
+from .eigen import _symmetric_eigensystem
 from .errors import ContractError, DimensionError, NumericalConsistencyError
 from .fourier import circulant_matrix
 from .lattice import NormalizedState
@@ -35,10 +37,12 @@ EXPECTATION_IMAG_TOL = 1e-10
 # merely because their product is tiny.
 SATURATION_WINDOW = 1e-6
 SPECTRUM_RESIDUAL_FACTOR = 1e-8
-# Largest lattice for the dense spectrum path. commutator_spectrum peaks
-# at about seven live N x N complex matrices (tracemalloc after a warm-up,
-# 7.3 at N = 24, 7.0 at N = 128): 7 * 16 B * 2048^2 = 448 MiB of a 1 GiB
-# budget. Memory is not what makes N = 2048 slow; the Jacobi sweeps are.
+# Largest lattice for the spectrum path. commutator_spectrum peaks at
+# about 12-15 B per N^2, its two real N/2 x N/2 blocks and their Jacobi
+# work arrays (tracemalloc after a warm-up: 14.5 at N = 101, 12.0 at
+# N = 1024 and 2048): 12 B * 2048^2 = 48 MiB of a 1 GiB budget. Time
+# bounds it, not memory: one BLAS thread, 2-core x86-64 VM, 15 s at
+# N = 1024 and 74 s at N = 2048.
 MAX_DENSE_SIZE = 2048
 
 
@@ -75,7 +79,8 @@ class LinearOperatorRepr:
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
     """Commutator eigenvalues sorted by imaginary part, plus the worst
-    eigenpair residual max ||A v - lambda v||."""
+    eigenpair residual max ||M v - lambda v|| over the half blocks M of
+    -i[P, O], which equals that of [P, O] up to rounding."""
 
     eigenvalues: np.ndarray
     residual: float
@@ -121,7 +126,8 @@ def ownership_operator(size: int) -> LinearOperatorRepr:
 
 
 def _commutator_matrix(size: int) -> np.ndarray:
-    """(m - n) O[m, n], exactly anti-hermitian since O is exactly hermitian."""
+    """(m - n) O[m, n], exactly anti-hermitian since O is exactly hermitian;
+    the tests' dense oracle for the spectrum's half blocks."""
     levels = np.arange(size)
     out = _ownership_matrix(size)
     out *= np.subtract.outer(levels, levels)
@@ -171,27 +177,54 @@ def commutator(a: LinearOperatorRepr, b: LinearOperatorRepr) -> LinearOperatorRe
     return LinearOperatorRepr(a.matrix @ b.matrix - b.matrix @ a.matrix)
 
 
+def _half_problems(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd blocks of T, the real symmetric Toeplitz matrix
+    with -i[P, O] = D T D^H, D = diag(exp(-i pi m / N)).
+
+    T[m, n] = t(|m - n|), t(0) = 0, t(d) = -d / (2 sin(pi min(d, N - d) / N));
+    the range reduction keeps sin accurate for d near N. T is
+    centrosymmetric, so with h = N // 2, A = T[:h, :h] and B = T[:h, N-h:]
+    with its columns reversed, its spectrum is that of A + B and A - B;
+    for odd N the even block is bordered by sqrt(2) T[:h, h] and T[h, h] = 0.
+    """
+    d = np.arange(1, size)
+    symbol = np.zeros(size)
+    symbol[1:] = -d / (2.0 * np.sin(np.pi * np.minimum(d, size - d) / size))
+    m = np.arange(size // 2)
+    a = symbol[np.abs(m[:, None] - m)]
+    b = symbol[size - 1 - m[:, None] - m]
+    even, odd = a + b, a - b
+    if size % 2:
+        border = np.sqrt(2.0) * symbol[size // 2 - m]
+        even = np.block([[even, border[:, None]], [border, 0.0]])
+    return even, odd
+
+
 def commutator_spectrum(size: int) -> SpectrumResult:
     """Eigenvalues of [P, O], ascending by imaginary part.
 
-    Diagonalizes the hermitian matrix -i*[P, O] by cyclic Jacobi rotations
-    and multiplies the real spectrum back by i, so the result is purely
-    imaginary by construction.
+    Builds no N x N matrix: the real spectrum of -i[P, O] is that of the
+    two real symmetric half blocks of ``_half_problems``, each diagonalized
+    by cyclic Jacobi rotations; the merged values are multiplied by i, so
+    the result is purely imaginary by construction. The residual is taken
+    on the halves, which D and the even/odd split carry unitarily onto
+    [P, O]; its bound uses their joint Frobenius norm, ||[P, O]||_F.
     """
     if size < 2:
         raise ValueError("size must be >= 2")
-    comm = _commutator_matrix(size)
-    real_values, vectors = hermitian_eigensystem(-1j * comm)
-    eigenvalues = 1j * real_values
-    residual = float(
-        np.max(np.linalg.norm(comm @ vectors - vectors * eigenvalues[None, :], axis=0))
-    )
-    bound = SPECTRUM_RESIDUAL_FACTOR * float(np.linalg.norm(comm))
+    blocks = _half_problems(size)
+    values, residual = [], 0.0
+    for block in blocks:
+        block_values, vectors = _symmetric_eigensystem(block)
+        values.append(block_values)
+        misfit = np.linalg.norm(block @ vectors - vectors * block_values, axis=0)
+        residual = max(residual, float(np.max(misfit)))
+    bound = SPECTRUM_RESIDUAL_FACTOR * float(np.hypot(*map(np.linalg.norm, blocks)))
     if residual > bound:
         raise NumericalConsistencyError(
             f"eigenpair residual {residual!r} exceeds {bound!r}"
         )
-    return SpectrumResult(eigenvalues=eigenvalues, residual=residual)
+    return SpectrumResult(eigenvalues=1j * np.sort(np.concatenate(values)), residual=residual)
 
 
 def block_observables(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -81,10 +81,15 @@ def theta3(z: float, t: float) -> float:
 
     Second argument restricted to the purely imaginary axis (tau = i*t,
     t > 0), where the sum is real for real z. Terms are added until the
-    first omitted one drops below 1e-16 * (|partial sum| + 1).
+    first omitted one drops below 1e-16 * (|partial sum| + 1). A t so small
+    that the series could need more than 10^6 terms (about t < 1.2e-11)
+    raises ValueError instead of running for hours.
     """
     if not (t > 0.0) or not math.isfinite(t):
         raise ValueError("t must be a positive finite real; the series diverges otherwise")
+    # the loop may run until 2 exp(-pi t a^2) < THETA_RELATIVE_CUTOFF
+    if math.pi * t * 1e12 < math.log(2.0 / THETA_RELATIVE_CUTOFF):
+        raise ValueError(f"t = {t!r} is too small: the series would need more than 10^6 terms")
     z = z - math.floor(z)  # the series is exactly 1-periodic in z
     total = 1.0
     a = 1

@@ -28,9 +28,9 @@ def defining_commutator(size: int) -> np.ndarray:
     return p @ o - o @ p
 
 
-def random_hermitian(rng, size: int) -> np.ndarray:
-    m = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-    return (m + m.conj().T) / 2.0
+def random_symmetric(rng, size: int) -> np.ndarray:
+    m = rng.normal(size=(size, size))
+    return (m + m.T) / 2.0
 
 
 def charpoly_coefficients(a: np.ndarray) -> np.ndarray:

@@ -64,6 +64,12 @@ def test_criterion_1_table_reproduction(capsys):
         _pass(1, f"all 21 commutator eigenvalues match the reference table ({elapsed:.2f}s)")
 
 
+def test_spectrum_text_is_table_1_exactly(capsys):
+    assert cli.main(["spectrum", "--n", "21"]) == 0
+    expected = "".join(f"{row},{value:.12f}\n" for row, value in enumerate(TABLE_1, start=1))
+    assert capsys.readouterr().out == expected
+
+
 def test_criterion_2_uncertainty_saturation(capsys):
     started = time.perf_counter()
     ups = upsilon_state(ThetaParams(1.0, 21)).values.real

@@ -199,9 +199,10 @@ def test_spectrum_text_truncates_toward_zero(value):
 
 def test_spectrum_n2_traceless(capsys):
     assert run_cli(["spectrum", "--n", "2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    values = [float(line.split(",")[1]) for line in lines]
+    out = capsys.readouterr().out
+    values = [float(line.split(",")[1]) for line in out.splitlines()]
     assert sum(values) == pytest.approx(0.0, abs=1e-12)
+    assert out == "1,-0.500000000000\n2,0.500000000000\n"  # the exact +-1/2
 
 
 def test_spectrum_json(capsys):

@@ -23,7 +23,6 @@ from stockwave import (
     exact_propagator,
     expectation,
     gaussian_packet,
-    hermitian_eigensystem,
     inverse,
     normalize,
     owner_distribution,
@@ -650,7 +649,7 @@ def test_hamiltonian_eigenstates_evolve_with_pure_phase():
     size, mu = 21, 1.0
     potential = HarmonicPotential(center=10.0, strength=0.5)
     hamiltonian = static_hamiltonian(size, mu, potential, 0.0)
-    _, vectors = hermitian_eigensystem(hamiltonian.matrix)
+    _, vectors = np.linalg.eigh(hamiltonian.matrix)
     prop = exact_propagator(size, mu, potential, 0.0, 0.29)
     current = vectors[:, 2].copy()
     reference = np.abs(current) ** 2

@@ -48,6 +48,15 @@ def test_theta3_rejects_nonpositive_t():
         theta3(0.3, -1.0)
 
 
+def test_theta3_rejects_t_needing_more_than_a_million_terms():
+    # the series needs up to sqrt(ln(2e16) / (pi t)) terms: hours of work
+    # at t = 1e-20
+    for t in (1.19e-11, 1e-12, 1e-20, 5e-324):
+        with pytest.raises(ValueError, match="10\\^6 terms"):
+            theta3(0.3, t)
+    assert theta3(0.0, 1e-6) == pytest.approx(theta3(0.0, 1e6) / math.sqrt(1e-6), rel=1e-12)
+
+
 def test_theta_params_reject_kappa_whose_reciprocal_overflows():
     for kappa in (1e-310, 5.56e-309):  # subnormal; 1/kappa is inf
         with pytest.raises(ValueError, match="overflows"):
