@@ -22,8 +22,10 @@ of whole records; the t field is cut to the widest t text. One
 bytes.translate strips the padding of a whole matrix, and a block is one
 write per file. A block holds at most evolution.RECORD_BLOCK_SIZE
 amplitudes or one record, so a table's bytes stay
-O(RECORD_BLOCK_SIZE + N). The JSON sink converts the block's arrays to Python floats with
-one tolist each and writes one record at a time. An exception that
+O(RECORD_BLOCK_SIZE + N). The JSON sink formats a block the same way,
+reads the text back as float64 (float(format_number(x)) bit for bit, so
+both formats carry the same numbers), converts it to Python floats with
+one tolist and writes one record at a time. An exception that
 aborts the with-block ends the partial output, whole records only, in a
 truncation marker (a TRUNCATED row, or "truncated": true) and closes it;
 every block or record written before the failure stays. Status lines go
@@ -93,10 +95,6 @@ def format_number(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _rounded(x: float) -> float:
-    return float(format_number(x))
-
-
 def _format_eigenvalue(value: float) -> str:
     # table-style print: 12 decimals truncated toward zero; rounding would
     # flip the boundary digits of the plateau eigenvalues. The product is
@@ -137,6 +135,27 @@ def _table(shape: tuple, *columns) -> np.ndarray:
     return table
 
 
+def _encoded(*columns) -> np.ndarray:
+    """numfmt text of np.column_stack(columns), one encode call. Adding
+    0.0 in place to the fresh stack folds -0.0 as format_number does."""
+    numbers = np.column_stack(columns)
+    numbers += 0.0
+    return numfmt.encode(numbers)
+
+
+def _block_text(block) -> np.ndarray:
+    """A record block's numbers as text, one row of 2N + 8 per record in
+    the order both sinks read them: prob_price, prob_owner, the summary
+    columns and t."""
+    return _encoded(block.prob_price, block.prob_owner, block.summary, [t for _, t in block.marks])
+
+
+def _read_back(text: np.ndarray) -> np.ndarray:
+    """The float64 of each numfmt text: float(format_number(x)) for the x
+    it was encoded from, bit for bit."""
+    return text.view(f"S{numfmt.W}")[..., 0].astype(np.float64)
+
+
 def _stripped(table: np.ndarray) -> str:
     """A table's text: its bytes in order, the zero pad bytes dropped."""
     return table.tobytes().translate(None, b"\0").decode("ascii")
@@ -167,13 +186,8 @@ class _CsvSink(contextlib.AbstractContextManager):
 
     def write_block(self, block):
         records, size = block.prob_price.shape
-        steps, times = zip(*block.marks)
-        # one row of numbers per record; adding 0.0 folds -0.0 as
-        # format_number does
-        numbers = np.column_stack((block.prob_price, block.prob_owner, block.summary, times))
-        numbers += 0.0
-        text = numfmt.encode(numbers)
-        del numbers
+        steps = [step for step, _ in block.marks]
+        text = _block_text(block)
         # each record's "step,t," prefix, the t field cut to the widest t
         # text: texts are left-aligned and hold no zero byte
         t_width = np.count_nonzero(text[:, -1].any(axis=0))
@@ -221,15 +235,11 @@ class _JsonSink(contextlib.AbstractContextManager):
         self._empty = True
 
     def write_block(self, block):
-        lists = block.prob_price.tolist(), block.prob_owner.tolist(), block.summary.tolist()
-        for (step, t), prices, owners, summary in zip(block.marks, *lists):
-            record = {
-                "step": step,
-                "t": _rounded(t),
-                "prob_price": [_rounded(p) for p in prices],
-                "prob_owner": [_rounded(o) for o in owners],
-            }
-            record.update(zip(SUMMARY_FIELDS, map(_rounded, summary)))
+        size = block.prob_price.shape[1]
+        for (step, _), row in zip(block.marks, _read_back(_block_text(block)).tolist()):
+            record = {"step": step, "t": row[-1], "prob_price": row[:size],
+                      "prob_owner": row[size:2 * size]}
+            record.update(zip(SUMMARY_FIELDS, row[2 * size:-1]))
             text = json.dumps(record, indent=2).replace("\n", "\n    ")
             self._file.write(("\n    " if self._empty else ",\n    ") + text)
             self._empty = False
@@ -264,7 +274,7 @@ def cmd_state(scenario: Scenario, quiet: bool) -> int:
     return EXIT_OK
 
 
-def cmd_uncertainty(scenario: Scenario, quiet: bool) -> int:
+def cmd_uncertainty(scenario: Scenario) -> int:
     report = uncertainty_product_report(build_initial_state(scenario))
     print(f"delta_price={format_number(report.delta_price)}")
     print(f"delta_owner={format_number(report.delta_owner)}")
@@ -281,12 +291,9 @@ def cmd_spectrum(size: int, as_json: bool) -> int:
         raise UsageError(f"spectrum requires --n <= {MAX_DENSE_SIZE} (dense Jacobi path)")
     result = commutator_spectrum(size)
     if as_json:
-        doc = {
-            "n": size,
-            "eigenvalues_imag": [_rounded(v.imag) for v in result.eigenvalues],
-            "residual": _rounded(result.residual),
-        }
-        print(json.dumps(doc, indent=2))
+        values = _read_back(_encoded(np.append(result.eigenvalues.imag, result.residual)))
+        *eigenvalues, residual = values.ravel().tolist()
+        print(json.dumps({"n": size, "eigenvalues_imag": eigenvalues, "residual": residual}, indent=2))
     else:
         for index, value in enumerate(result.eigenvalues, start=1):
             print(f"{index},{_format_eigenvalue(value.imag)}")
@@ -345,7 +352,7 @@ def main(argv=None) -> int:
         if args.command == "spectrum":
             return cmd_spectrum(args.n, args.json)
         if args.command == "uncertainty":
-            return cmd_uncertainty(_load_scenario(args.config), args.quiet)
+            return cmd_uncertainty(_load_scenario(args.config))
         return cmd_evolve(_load_scenario(args.config), args.quiet)
     except (UsageError, ScenarioError) as exc:
         print(f"stockwave: {exc}", file=sys.stderr)

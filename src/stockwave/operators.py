@@ -71,9 +71,9 @@ class LinearOperatorRepr:
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
+    def is_hermitian(self) -> bool:
         scale = max(1.0, float(np.max(np.abs(self.matrix))))
-        return self.hermiticity_defect() <= tol * scale
+        return self.hermiticity_defect() <= HERMITICITY_TOL * scale
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,10 +30,10 @@ from .states import PacketParams, ThetaParams, delta_state, gaussian_packet
 # Their CLI peak (tracemalloc after a warm-up, N in {1024, 1031, 4099,
 # 16411}, primes zero-padded) is largest for an evolve of a custom state
 # under a modulated tabulated trap (a comb at kappa*N = 1: ~65 B less):
-# ~645 B per level from N = 4099 for JSON (377 for CSV), where a record
+# ~595 B per level from N = 4099 for JSON (377 for CSV), where a record
 # block holds one record, and ~950 B at N = 1031 for CSV, where the
 # fixed buffers (a format pass, a block's table: ~0.9 MB) weigh more per
-# level. 645 B * 2^20 = 645 MiB of a 1 GiB budget.
+# level. 595 B * 2^20 = 595 MiB of a 1 GiB budget.
 MAX_LATTICE_SIZE = 2**20
 
 

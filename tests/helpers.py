@@ -8,6 +8,17 @@ def primes_to(limit: int) -> list:
     return [p for p in range(2, limit + 1) if all(p % d for d in range(2, int(p**0.5) + 1))]
 
 
+def powers_of_ten_and_neighbours() -> np.ndarray:
+    """Every power of ten from 1e-323 to 1e308, its neighbours and its negative."""
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    return np.concatenate([
+        powers,
+        np.nextafter(powers, 0.0),
+        np.nextafter(powers, np.inf),
+        -powers,
+    ])
+
+
 def random_lattice_function(rng, size: int) -> LatticeFunction:
     return LatticeFunction(rng.normal(size=size) + 1j * rng.normal(size=size))
 

@@ -28,7 +28,7 @@ from stockwave import (
     operators,
 )
 from stockwave.scenario import MAX_LATTICE_SIZE, build_initial_state, parse_scenario
-from helpers import primes_to
+from helpers import powers_of_ten_and_neighbours, primes_to
 
 
 def run_cli(args):
@@ -207,8 +207,10 @@ def test_spectrum_n2_traceless(capsys):
 
 def test_spectrum_json(capsys):
     assert run_cli(["spectrum", "--n", "4", "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["n"] == 4
+    result = operators.commutator_spectrum(4)
+    values = [float(cli.format_number(x)) for x in (*result.eigenvalues.imag, result.residual)]
+    doc = {"n": 4, "eigenvalues_imag": values[:-1], "residual": values[-1]}
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
     assert len(doc["eigenvalues_imag"]) == 4
     assert doc["residual"] < 1e-10
 
@@ -446,8 +448,10 @@ def reference_output(doc):
     record_every=st.integers(1, 4),
     fmt=st.sampled_from(["csv", "json"]),
     kappa=st.floats(0.3, 3.0),
+    # 999999999999999.875 is "1e+15" in CSV and 1000000000000000.0 in JSON
+    t0=st.sampled_from([0.0, -0.0, 999999999999999.875, 1e16]),
 )
-def test_block_sinks_write_what_each_record_writes(size, steps, record_every, fmt, kappa):
+def test_block_sinks_write_what_each_record_writes(size, steps, record_every, fmt, kappa, t0):
     # at N = 300 a block holds 13 records, so longer runs span several
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / f"run.{fmt}"
@@ -458,6 +462,7 @@ def test_block_sinks_write_what_each_record_writes(size, steps, record_every, fm
                 "mu": 1.0,
                 "dt": 1e-3,
                 "steps": steps,
+                "t0": t0,
                 "potential": {
                     "type": "modulated",
                     "base": {"type": "harmonic", "center": size / 2.0, "strength": 4.0 / size},
@@ -953,6 +958,29 @@ def test_csv_rows_format_like_format_number(tmp_path):
     ]
     _, srows = read_csv(tmp_path / "rows_summary.csv")
     assert srows == [["4", "0.25"] + ["0"] * 7]
+
+
+READ_BACK_EDGES = [
+    *powers_of_ten_and_neighbours().tolist(),
+    5e-324, 2.2250738585072014e-308 / 3, np.nextafter(2.2250738585072014e-308, 0.0),  # subnormals
+    0.0, -0.0,
+    cli.numfmt.SMALLEST, cli.numfmt.LARGEST,
+    1e15, 1e16, 2.0**53,
+]
+FINITE_BIT_PATTERNS = st.integers(0, 2**64 - 1).map(
+    lambda bits: np.array(bits, np.uint64).view(np.float64).item()
+).filter(np.isfinite)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), FINITE_BIT_PATTERNS)))
+def test_read_back_is_float_of_format_number(values):
+    # the JSON sink's and spectrum --json's values, against the scalar
+    # definition, bit for bit: -0.0 must read back as 0.0
+    values = [*values, *READ_BACK_EDGES]
+    read = cli._read_back(cli._encoded(values))[:, 0]
+    expected = np.array([float(cli.format_number(v)) for v in values])
+    assert read.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 def test_csv_rows_span_format_chunks(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stockwave import numfmt
+from helpers import powers_of_ten_and_neighbours
 
 
 def texts(values):
@@ -37,16 +38,6 @@ def test_encode_matches_percent_on_bit_patterns(bits):
     # every double: subnormals, nan payloads and infinities included
     values = from_bits(bits)
     assert texts(values) == reference(values)
-
-
-def powers_of_ten_and_neighbours():
-    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
-    return np.concatenate([
-        powers,
-        np.nextafter(powers, 0.0),
-        np.nextafter(powers, np.inf),
-        -powers,
-    ])
 
 
 EDGES = [

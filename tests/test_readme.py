@@ -59,6 +59,15 @@ def test_readme_scenario_runs_through_the_module(tmp_path):
     assert len((tmp_path / "run.csv").read_text().splitlines()) == 106
     assert len((tmp_path / "run_summary.csv").read_text().splitlines()) == 6
     assert run("evolve", "--config", "stdout.json").splitlines()[-1].startswith("2000,")
+    # the same run as one JSON document: json.dumps(indent=2)'s layout, and
+    # the last record's prices are the floats of run.csv's last 21 rows
+    doc["output"]["format"] = "json"
+    (tmp_path / "stdout_json.json").write_text(json.dumps(doc))
+    text = run("evolve", "--config", "stdout_json.json")
+    records = json.loads(text)["records"]
+    assert json.dumps(json.loads(text), indent=2) + "\n" == text and len(records) == 5
+    rows = (tmp_path / "run.csv").read_text().splitlines()[-21:]
+    assert records[-1]["prob_price"] == [float(row.split(",")[3]) for row in rows]
     # a prime N, so the kicks run zero-padded, as two half-length rows
     doc = json.loads(scenario)
     doc.update(N=1031, output={"format": "csv", "path": "prime.csv", "record_every": 10})
