@@ -19,11 +19,6 @@ NORMALIZATION_TOL = 1e-12
 # yields sum to 1 within (1 + NORM_DRIFT_TOL)^2 - 1.
 NORM_DRIFT_TOL = 1e-8
 PROBABILITY_SUM_TOL = (1.0 + NORM_DRIFT_TOL) ** 2 - 1.0
-# norm and normalize take the plain norm while the largest real or
-# imaginary part lies in this range: the sum of the squares then stays far
-# from overflow, and a square small enough to underflow is below 1e-107 of
-# the total.
-PLAIN_NORM_RANGE = (1e-100, 1e100)
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,8 +29,6 @@ class LatticeFunction:
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=np.complex128)
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("amplitudes must form a non-empty 1-d sequence")
         if not np.all(np.isfinite(arr)):
@@ -118,14 +111,12 @@ def inner_product(phi: LatticeFunction, psi: LatticeFunction) -> complex:
 
 
 def _scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """values / 2^e and e. While the largest real or imaginary part lies in
-    PLAIN_NORM_RANGE, e = 0 and values come back as they are; otherwise
-    they are scaled exactly by the power of two that brings that part into
-    [0.5, 1), so the squares in their norm neither overflow nor underflow."""
+    """values / 2^e and e, where 2^-e brings the largest real or imaginary
+    part into [0.5, 1) (e = 0 for the zero function): the squares in their
+    norm cannot overflow, and any that underflow are negligible. Exact but
+    for parts below 2^(e - 1022), which round to subnormals."""
     parts = values.view(np.float64)  # re, im interleaved
     peak = float(np.abs(parts).max())
-    if PLAIN_NORM_RANGE[0] <= peak <= PLAIN_NORM_RANGE[1]:
-        return values, 0
     exponent = math.frexp(peak)[1]
     return np.ldexp(parts, -exponent).view(np.complex128), exponent
 
@@ -142,7 +133,9 @@ def norm(phi: LatticeFunction) -> float:
 
 def normalize(phi: LatticeFunction) -> NormalizedState:
     """Scale to unit norm; rejects the zero function. Amplitudes of any
-    finite magnitude are accepted (see ``_scaled``)."""
+    finite magnitude are accepted: the quotient is taken on the scaled
+    values (see ``_scaled``), so an entry can differ from values / ||values||
+    only below 2^-1021, in its last bits."""
     values = _scaled(phi.values)[0]
     length = np.linalg.norm(values)
     if length == 0.0:

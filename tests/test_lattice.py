@@ -24,6 +24,7 @@ from stockwave import (
     price_distribution,
     upsilon_state,
 )
+from stockwave.lattice import NORMALIZATION_TOL
 from helpers import random_lattice_function, random_state
 
 
@@ -126,15 +127,45 @@ def test_norm_accepts_any_finite_magnitude(values, expected):
     assert norm(LatticeFunction(values)) == pytest.approx(expected, rel=1e-15, abs=0)
 
 
+def lattice_functions(low, high):
+    """LatticeFunctions of 1 to 64 levels whose real and imaginary parts are
+    each 0.0 or +-ldexp(m, k), with 0.5 <= m < 1 and k in [low, high]."""
+    parts = st.just(0.0) | st.builds(
+        math.ldexp,
+        st.floats(0.5, 1.0, exclude_max=True) | st.floats(-1.0, -0.5, exclude_min=True),
+        st.integers(low, high),
+    )
+    pairs = hnp.arrays(np.float64, st.integers(1, 64).map(lambda n: 2 * n), elements=parts)
+    return pairs.map(lambda p: LatticeFunction(p.view(np.complex128)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(lattice_functions(-1073, 996))
+def test_norm_and_normalize_hold_from_subnormal_to_1e300(phi):
+    # parts from 5e-324 to 6.7e299, tiny and huge mixed in one function
+    expected = math.hypot(*phi.values.view(np.float64))
+    # at n levels, the sum of 2n squares and its sqrt are within (n + 3) / 2
+    # ulps; add half an ulp where ldexp rounds to a subnormal, and one for
+    # hypot's own rounding
+    assert abs(norm(phi) - expected) <= (phi.size + 6) / 2 * math.ulp(expected)
+    if expected == 0.0:
+        with pytest.raises(DegenerateStateError):
+            normalize(phi)
+    else:
+        unit = normalize(phi).values.view(np.float64)
+        assert abs(math.hypot(*unit) - 1.0) <= NORMALIZATION_TOL
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-@given(hnp.arrays(np.complex128, st.integers(1, 64), elements=st.complex_numbers(
-    min_magnitude=1e-99, max_magnitude=1e99, allow_nan=False, allow_infinity=False,
-)))
-def test_normalize_of_ordinary_magnitudes_is_the_plain_quotient(values):
-    # bitwise what norm and normalize gave before they rescaled extreme amplitudes
-    result = normalize(LatticeFunction(values))
-    assert np.array_equal(result.values, values / np.linalg.norm(values))
-    assert norm(LatticeFunction(values)) == float(np.linalg.norm(values))
+@given(lattice_functions(-331, 332))
+def test_normalize_of_ordinary_magnitudes_is_the_plain_quotient(phi):
+    # parts in [1e-100, 1e100]: scaled by 2^-e with e <= 333 they all stay
+    # normal, so the scaling is exact and the results are bitwise the plain
+    # norm and quotient
+    values = phi.values
+    assert norm(phi) == float(np.linalg.norm(values))
+    if values.any():
+        assert np.array_equal(normalize(phi).values, values / np.linalg.norm(values))
 
 
 def test_normalize_zero_rejected():
@@ -203,6 +234,8 @@ def test_lattice_function_rejects_bad_values():
         LatticeFunction([1.0, np.inf * 1j])
     with pytest.raises(ValueError):
         LatticeFunction([])
+    with pytest.raises(ValueError, match="non-empty 1-d sequence"):
+        LatticeFunction(1.0)
 
 
 def test_lattice_function_is_immutable():
