@@ -49,7 +49,12 @@ temporaries stay O(CHUNK): under tracemalloc they peak at ~180 bytes per
 value, ~0.73 MB for a full pass, on top of the output's W bytes per
 value. A pass holds as many whole rows of the last axis as fit in CHUNK,
 at least one; a row longer than CHUNK is cut into CHUNK-value slices of
-the ravel. A 1-d input is one row.
+the ravel. A 1-d input is one row. The rule is there for memory: a sink
+formats a whole (B, 2N + 8) block in one call, and from N = 1021 to 2043
+a pass of whole rows holds one row, ~2N values, not 4096. Flat
+4096-value slices cost a JSON ``evolve`` at N = 1031 1263 B per level in
+``test_lattice_size_limit_fits_memory_budget``, against 945 with rows
+and the 1024 allowed.
 """
 from __future__ import annotations
 

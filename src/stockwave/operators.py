@@ -17,7 +17,8 @@ live in ``evolution._observed``. The spectrum needs no N x N matrix:
 ``commutator_spectrum`` diagonalizes two real half blocks gathered from
 the commutator's closed-form symbol. The dense N x N operators act as
 oracles; they are built per call in O(N^2), with no matrix product and
-no cache.
+no cache. Their one guard is ``expectation``'s (sizes, hermiticity, a
+real mean), and ``uncertainty`` takes its mean from it.
 """
 from __future__ import annotations
 
@@ -144,31 +145,20 @@ def expectation(operator: LinearOperatorRepr, state: NormalizedState) -> float:
     _require_same_size(operator, state)
     if not operator.is_hermitian():
         raise ContractError(
-            f"expectation requires a hermitian operator; defect "
-            f"{operator.hermiticity_defect()!r}"
+            f"operator is not hermitian; defect {operator.hermiticity_defect()!r}"
         )
     value = complex(np.vdot(state.values, operator.apply(state.values)))
     if abs(value.imag) > EXPECTATION_IMAG_TOL:
-        raise NumericalConsistencyError(
-            f"expectation has imaginary residue {value.imag!r}"
-        )
+        raise NumericalConsistencyError(f"mean has imaginary residue {value.imag!r}")
     return value.real
 
 
 def uncertainty(operator: LinearOperatorRepr, state: NormalizedState) -> float:
     """Root-mean-square deviation ||(A - <A>) Phi||; unlike
-    sqrt(<A^2> - <A>^2) it does not cancel to noise near a point state."""
-    _require_same_size(operator, state)
-    if not operator.is_hermitian():
-        raise ContractError(
-            f"uncertainty requires a hermitian operator; defect "
-            f"{operator.hermiticity_defect()!r}"
-        )
-    image = operator.apply(state.values)
-    mean = complex(np.vdot(state.values, image))
-    if abs(mean.imag) > EXPECTATION_IMAG_TOL:
-        raise NumericalConsistencyError(f"mean has imaginary residue {mean.imag!r}")
-    return float(np.linalg.norm(image - mean.real * state.values))
+    sqrt(<A^2> - <A>^2) it does not cancel to noise near a point state.
+    The mean, and with it every check, comes from ``expectation``."""
+    mean = expectation(operator, state)
+    return float(np.linalg.norm(operator.apply(state.values) - mean * state.values))
 
 
 def commutator(a: LinearOperatorRepr, b: LinearOperatorRepr) -> LinearOperatorRepr:

@@ -215,7 +215,7 @@ def _parse_state(obj, size):
             ThetaParams(kappa=state.kappa, size=size)
         except ValueError as exc:
             raise ScenarioError(f"range violation at state.kappa: {exc}") from None
-    if isinstance(state, CustomStateSpec) and not any(state.re + state.im):
+    if isinstance(state, CustomStateSpec) and not (any(state.re) or any(state.im)):
         raise ScenarioError("range violation at state: amplitudes are all zero")
     return state
 

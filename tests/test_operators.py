@@ -122,6 +122,15 @@ def test_expectation_contract_errors():
         expectation(price_operator(3), state)
 
 
+def test_uncertainty_contract_errors():
+    bad = LinearOperatorRepr(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    state = delta_state(0, 2)
+    with pytest.raises(ContractError):
+        uncertainty(bad, state)
+    with pytest.raises(DimensionError):
+        uncertainty(price_operator(3), state)
+
+
 def test_uncertainty_dispersion_free_eigenstate():
     assert uncertainty(price_operator(21), delta_state(4, 21)) == 0.0
 
