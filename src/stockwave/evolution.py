@@ -34,10 +34,8 @@ the arrays the CLI sinks write: the marks, the states, both
 distributions and one summary array, the norm errors as its last column.
 ``evolve`` flattens the blocks into one TrajectoryRecord per row, each
 viewing its row and bitwise what a block of one would give. On a failure
-the records before it are handed on first. The oracle's kinetic term
-F^-1 diag(k^2) F / (2*mu) comes from the small-N kick's dense builder,
-``fourier.circulant_matrix``. The state is never renormalized: norm
-drift is reported and policed, not hidden.
+the records before it are handed on first. The state is never
+renormalized: norm drift is reported and policed, not hidden.
 
 A potential is a static profile times scalar factors, innermost first
 (``Potential.profile`` and ``Potential.scales``). ``_phases`` evaluates
@@ -56,11 +54,10 @@ import numpy as np
 from .errors import (
     ConservationError, DimensionError, InvariantViolationError, NumericalConsistencyError,
 )
-from .fourier import circulant, circulant_matrix
+from .fourier import circulant
 from .lattice import NORM_DRIFT_TOL, LatticeFunction, NormalizedState
-from .operators import LinearOperatorRepr, UncertaintyReport, block_observables
+from .operators import UncertaintyReport, block_observables
 
-PROPAGATOR_UNITARITY_FACTOR = 1e-10
 # The relation holds for every state, so a product under the Robertson
 # bound by more than the slack is a bug signal. The slack is this, or this
 # share of ||P Phi|| ||O Phi|| where that is larger: the bound is
@@ -463,38 +460,3 @@ def _record_blocks(phi0, params, phase, record_every):
         remaining -= len(marks)
         closed_at = marks[-1][0]
 
-
-def static_hamiltonian(
-    size: int, mu: float, potential: Potential, t_snapshot: float
-) -> LinearOperatorRepr:
-    """Dense O^2/(2*mu) + diag(V(., t_snapshot)); hermitian."""
-    if not (mu > 0.0):
-        raise ValueError("mu must be positive")
-    k = np.arange(size, dtype=np.float64)
-    v = _checked(lambda n: potential.evaluate(n, t_snapshot), size, f" at t = {t_snapshot!r}")
-    h = circulant_matrix(k * k) / (2.0 * mu) + np.diag(v.astype(np.complex128))
-    return LinearOperatorRepr((h + h.conj().T) / 2.0)
-
-
-def exact_propagator(
-    size: int,
-    mu: float,
-    potential: Potential,
-    t_snapshot: float,
-    duration: float,
-) -> LinearOperatorRepr:
-    """Matrix exponential of the frozen Hamiltonian, via eigendecomposition.
-
-    Oracle path for the split-operator integrator: the potential is held
-    fixed at t_snapshot and U exp(-i*duration*Lambda) U^dagger is formed
-    from the LAPACK eigensystem (np.linalg.eigh).
-    """
-    h = static_hamiltonian(size, mu, potential, t_snapshot)
-    eigenvalues, vectors = np.linalg.eigh(h.matrix)
-    propagator = (vectors * np.exp(-1j * duration * eigenvalues)[None, :]) @ vectors.conj().T
-    defect = float(
-        np.linalg.norm(propagator.conj().T @ propagator - np.eye(size))
-    )
-    if defect > PROPAGATOR_UNITARITY_FACTOR * math.sqrt(size):
-        raise NumericalConsistencyError(f"propagator unitarity defect {defect!r}")
-    return LinearOperatorRepr(propagator)

@@ -5,12 +5,7 @@ the forward kernel is exp(-2*pi*i*k*n/N), the inverse exp(+2*pi*i*k*n/N).
 ``forward`` and ``inverse`` are numpy's FFT with orthonormal scaling
 at every N, O(N log N) for any N, primes included.
 The observables take the same transform, so |forward(phi)|^2 is the
-owner distribution bit for bit. The defining O(N^2) matrix,
-``dft_matrix``, is the reference path: its phase table is indexed with
-integer arithmetic reduced mod N before any trig call, so large index
-products never lose precision. np.exp of an imaginary argument keeps
-each phase within one ulp of the unit circle, which the tests check
-rather than each call.
+owner distribution bit for bit.
 
 An owner-diagonal operator F^-1 diag(d) F is circulant: the dense form
 is ``circulant_matrix``, O(N^2) from one inverse FFT of d, and
@@ -49,23 +44,6 @@ FAST_RADIX_LIMIT = 11
 # p = 89..113 (2.2x at 101 * 4 and 107 * 4), 2.2-3.3x at p = 127 and
 # 3.0x at N = 1031.
 UNPADDED_PRIME_LIMIT = 61
-
-
-def _phases(size: int, direction: str) -> np.ndarray:
-    """The table dft_matrix indexes: exp(-+2*pi*i*j/N) for j < N."""
-    sign = -1 if direction == "forward" else +1
-    return np.exp(sign * 2j * np.pi / size * np.arange(size))
-
-
-def dft_matrix(size: int, direction: str = "forward") -> np.ndarray:
-    """Dense unitary kernel: entry (k, n) is exp(-+2*pi*i*k*n/N)/sqrt(N),
-    indexed from the phase table at k*n mod N."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"unknown direction {direction!r}")
-    k = np.arange(size)
-    return _phases(size, direction)[np.outer(k, k) % size] / np.sqrt(size)
 
 
 def _has_factors_at_most(n: int, limit: int) -> bool:
@@ -178,7 +156,3 @@ def inverse(psi) -> LatticeFunction:
     """Map owner amplitudes back to price amplitudes."""
     return LatticeFunction(np.fft.ifft(psi.values, norm="ortho"))
 
-
-def forward_naive(phi) -> LatticeFunction:
-    """Reference path: the defining double sum, its kernel built per call."""
-    return LatticeFunction(dft_matrix(phi.size) @ phi.values)

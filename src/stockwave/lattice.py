@@ -3,6 +3,8 @@
 The ambient space is C^N with the usual inner product. For a normalized
 state Phi, |Phi(n)|^2 is the probability that a trade happens at price n,
 and |F[Phi](k)|^2 the probability that trader k currently owns the stock.
+This module holds the amplitudes and normalized states, the norm at any
+finite magnitude, normalization, and the norm budget of time evolution.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError, DimensionError
+from .errors import DegenerateStateError
 
 NORMALIZATION_TOL = 1e-12
 # Norm conservation budget of time evolution: evolve raises once
@@ -77,39 +79,6 @@ class NormalizedState:
         return self.base.size
 
 
-@dataclass(frozen=True, eq=False)
-class ProbabilityVector:
-    """Non-negative weights over the N lattice points, summing to one."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.probs, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("probabilities must form a non-empty 1-d sequence")
-        if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-            raise ValueError("probabilities must be finite and non-negative")
-        if abs(float(arr.sum()) - 1.0) > PROBABILITY_SUM_TOL:
-            raise ValueError(f"probabilities sum to {float(arr.sum())!r}, not 1")
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
-
-    @property
-    def size(self) -> int:
-        return self.probs.size
-
-    def mean(self) -> float:
-        """First moment with the lattice index as the value."""
-        return float(np.dot(np.arange(self.size), self.probs))
-
-
-def inner_product(phi: LatticeFunction, psi: LatticeFunction) -> complex:
-    """Scalar product, conjugate-linear in the first argument."""
-    if phi.size != psi.size:
-        raise DimensionError(f"size mismatch: {phi.size} vs {psi.size}")
-    return complex(np.vdot(phi.values, psi.values))
-
-
 def _scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
     """values / 2^e and e, where 2^-e brings the largest real or imaginary
     part into [0.5, 1) (e = 0 for the zero function): the squares in their
@@ -142,13 +111,3 @@ def normalize(phi: LatticeFunction) -> NormalizedState:
         raise DegenerateStateError("zero-norm function has no normalized form")
     return NormalizedState(LatticeFunction(values / length))
 
-
-def price_distribution(state: NormalizedState) -> ProbabilityVector:
-    """Probability of each trade price: |Phi(n)|^2."""
-    return ProbabilityVector(np.abs(state.values) ** 2)
-
-
-def owner_distribution(state: NormalizedState) -> ProbabilityVector:
-    """Probability of each owner: |F[Phi](k)|^2, by the observables
-    report's transform (np.fft for every N), so the two agree bit for bit."""
-    return ProbabilityVector(np.abs(np.fft.fft(state.values, norm="ortho")) ** 2)

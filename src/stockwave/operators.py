@@ -1,4 +1,4 @@
-"""Price and ownership operators, their spectra, and block observables.
+"""The spectrum of the price-ownership commutator, and block observables.
 
 The price operator multiplies by the lattice index; the ownership
 operator is its conjugate under the finite Fourier transform, the
@@ -15,10 +15,7 @@ block of one gives; a single state is B = 1. This module only computes:
 which rows are valid records, and the Robertson check that decides it,
 live in ``evolution._observed``. The spectrum needs no N x N matrix:
 ``commutator_spectrum`` diagonalizes two real half blocks gathered from
-the commutator's closed-form symbol. The dense N x N operators act as
-oracles; they are built per call in O(N^2), with no matrix product and
-no cache. Their one guard is ``expectation``'s (sizes, hermiticity, a
-real mean), and ``uncertainty`` takes its mean from it.
+the commutator's closed-form symbol.
 """
 from __future__ import annotations
 
@@ -27,12 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import _symmetric_eigensystem
-from .errors import ContractError, DimensionError, NumericalConsistencyError
-from .fourier import circulant_matrix
-from .lattice import NormalizedState
+from .errors import NumericalConsistencyError
 
-HERMITICITY_TOL = 1e-12
-EXPECTATION_IMAG_TOL = 1e-10
 # Relative: a report is saturated once product - bound is at most this
 # share of the product, so two spreads of round-off are not saturated
 # merely because their product is tiny.
@@ -45,36 +38,6 @@ SPECTRUM_RESIDUAL_FACTOR = 1e-8
 # bounds it, not memory: one BLAS thread, 2-core x86-64 VM, 15 s at
 # N = 1024 and 74 s at N = 2048.
 MAX_DENSE_SIZE = 2048
-
-
-@dataclass(frozen=True, eq=False)
-class LinearOperatorRepr:
-    """Dense N x N complex matrix acting on lattice functions."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.matrix, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.matrix @ values
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-    def is_hermitian(self) -> bool:
-        scale = max(1.0, float(np.max(np.abs(self.matrix))))
-        return self.hermiticity_defect() <= HERMITICITY_TOL * scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,66 +68,6 @@ class UncertaintyReport:
     def saturated(self) -> bool:
         """Whether the product meets the bound, within SATURATION_WINDOW."""
         return self.product - self.bound <= SATURATION_WINDOW * self.product
-
-
-def price_operator(size: int) -> LinearOperatorRepr:
-    """Diagonal multiplication by the price level n."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    return LinearOperatorRepr(np.diag(np.arange(size, dtype=np.complex128)))
-
-
-def _ownership_matrix(size: int) -> np.ndarray:
-    raw = circulant_matrix(np.arange(size))
-    return (raw + raw.conj().T) / 2.0  # hermitian up to the bit
-
-
-def ownership_operator(size: int) -> LinearOperatorRepr:
-    """Price operator conjugated into the owner basis: F^-1 P F."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    return LinearOperatorRepr(_ownership_matrix(size))
-
-
-def _commutator_matrix(size: int) -> np.ndarray:
-    """(m - n) O[m, n], exactly anti-hermitian since O is exactly hermitian;
-    the tests' dense oracle for the spectrum's half blocks."""
-    levels = np.arange(size)
-    out = _ownership_matrix(size)
-    out *= np.subtract.outer(levels, levels)
-    return out
-
-
-def _require_same_size(a: LinearOperatorRepr, b) -> None:
-    if a.size != b.size:
-        raise DimensionError(f"size mismatch: {a.size} vs {b.size}")
-
-
-def expectation(operator: LinearOperatorRepr, state: NormalizedState) -> float:
-    """Mean value <Phi, A Phi> of a hermitian operator."""
-    _require_same_size(operator, state)
-    if not operator.is_hermitian():
-        raise ContractError(
-            f"operator is not hermitian; defect {operator.hermiticity_defect()!r}"
-        )
-    value = complex(np.vdot(state.values, operator.apply(state.values)))
-    if abs(value.imag) > EXPECTATION_IMAG_TOL:
-        raise NumericalConsistencyError(f"mean has imaginary residue {value.imag!r}")
-    return value.real
-
-
-def uncertainty(operator: LinearOperatorRepr, state: NormalizedState) -> float:
-    """Root-mean-square deviation ||(A - <A>) Phi||; unlike
-    sqrt(<A^2> - <A>^2) it does not cancel to noise near a point state.
-    The mean, and with it every check, comes from ``expectation``."""
-    mean = expectation(operator, state)
-    return float(np.linalg.norm(operator.apply(state.values) - mean * state.values))
-
-
-def commutator(a: LinearOperatorRepr, b: LinearOperatorRepr) -> LinearOperatorRepr:
-    """A B - B A."""
-    _require_same_size(a, b)
-    return LinearOperatorRepr(a.matrix @ b.matrix - b.matrix @ a.matrix)
 
 
 def _half_problems(size: int) -> tuple[np.ndarray, np.ndarray]:

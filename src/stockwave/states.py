@@ -11,8 +11,8 @@ stays in the family, F[gamma_kappa] = gamma_{1/kappa} / sqrt(kappa), so
 the normalized comb Upsilon_kappa = gamma_kappa / ||gamma_kappa||
 satisfies F[Upsilon_kappa] = Upsilon_{1/kappa}. That duality is also how
 a comb wider than one lattice spacing (kappa*N < 1) is built: as the
-transform of its narrow dual, so every comb is one short translate sum
-and ``theta3`` serves only as an oracle. A packet
+transform of its narrow dual, so every comb is one short translate sum.
+A packet
 
     Psi(n) = exp(2*pi*i*k0*n/N) * Upsilon_kappa(n - n0)
 
@@ -27,8 +27,7 @@ import numpy as np
 
 from .lattice import LatticeFunction, NormalizedState, normalize
 
-THETA_RELATIVE_CUTOFF = 1e-16  # first omitted theta term vs partial sum
-COMB_TERM_FLOOR = 1e-18        # first omitted comb translate
+COMB_TERM_FLOOR = 1e-18  # first omitted comb translate
 
 
 @dataclass(frozen=True)
@@ -74,29 +73,6 @@ def delta_state(m: int, size: int) -> NormalizedState:
     values = np.zeros(size, dtype=np.complex128)
     values[m] = 1.0
     return NormalizedState(LatticeFunction(values))
-
-
-def theta3(z: float, t: float) -> float:
-    """Theta series 1 + 2*sum_{a>=1} exp(-pi*t*a^2)*cos(2*pi*a*z).
-
-    Second argument restricted to the purely imaginary axis (tau = i*t,
-    t > 0), where the sum is real for real z. Terms are added until the
-    first omitted one drops below 1e-16 * (|partial sum| + 1). A t so small
-    that the series could need more than 10^6 terms (about t < 1.2e-11)
-    raises ValueError instead of running for hours.
-    """
-    if not (t > 0.0) or not math.isfinite(t):
-        raise ValueError("t must be a positive finite real; the series diverges otherwise")
-    # the loop may run until 2 exp(-pi t a^2) < THETA_RELATIVE_CUTOFF
-    if math.pi * t * 1e12 < math.log(2.0 / THETA_RELATIVE_CUTOFF):
-        raise ValueError(f"t = {t!r} is too small: the series would need more than 10^6 terms")
-    z = z - math.floor(z)  # the series is exactly 1-periodic in z
-    total = 1.0
-    a = 1
-    while 2.0 * math.exp(-math.pi * t * a * a) >= THETA_RELATIVE_CUTOFF * (abs(total) + 1.0):
-        total += 2.0 * math.exp(-math.pi * t * a * a) * math.cos(2.0 * math.pi * a * z)
-        a += 1
-    return total
 
 
 def _translate_window(rate: float, size: int) -> int:

@@ -23,11 +23,11 @@ from stockwave.fourier import (
     NAIVE_CUTOFF,
     UNPADDED_PRIME_LIMIT,
     _fast_length,
-    _phases,
     circulant,
     circulant_matrix,
 )
 from stockwave.operators import block_observables
+from stockwave.reference import _phases
 from helpers import primes_to, random_lattice_function
 
 

@@ -32,8 +32,9 @@ from stockwave import (
     uncertainty_product_report,
     upsilon_state,
 )
-from stockwave import evolution, fourier, operators
-from stockwave.operators import MAX_DENSE_SIZE, _commutator_matrix
+from stockwave import fourier, operators, reference
+from stockwave.operators import MAX_DENSE_SIZE
+from stockwave.reference import _commutator_matrix
 from helpers import defining_commutator, defining_ownership, primes_to, random_state
 
 TABLE_N21 = {1: -133.965206767811, 11: 3.342253804929, 21: 92.750113443389}
@@ -265,7 +266,7 @@ def test_transposed_circulant_builder_fails_defining_products(monkeypatch):
     def transposed(diagonal):
         return build(diagonal).T
 
-    for module in (fourier, operators, evolution):
+    for module in (fourier, reference):
         monkeypatch.setattr(module, "circulant_matrix", transposed)
     with pytest.raises(AssertionError):
         test_owner_diagonal_matrices_match_defining_products()

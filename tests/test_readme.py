@@ -45,13 +45,13 @@ def test_readme_scenario_runs_through_the_module(tmp_path):
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
 
-    def run(*args):
+    def run(*args, **environ):
         result = subprocess.run(
             [sys.executable, "-m", "stockwave", *args],
-            cwd=tmp_path, env=env, capture_output=True, text=True,
+            cwd=tmp_path, env={**env, **environ}, capture_output=True,
         )
-        assert result.returncode == 0 and result.stderr == "", result.stderr
-        return result.stdout
+        assert result.returncode == 0 and result.stderr == b"", result.stderr
+        return result.stdout.decode()  # strict UTF-8: equal text is equal bytes
 
     for command in ("state", "uncertainty", "evolve"):
         run(command, "--config", "scenario.json")
@@ -68,6 +68,14 @@ def test_readme_scenario_runs_through_the_module(tmp_path):
     assert json.dumps(json.loads(text), indent=2) + "\n" == text and len(records) == 5
     rows = (tmp_path / "run.csv").read_text().splitlines()[-21:]
     assert records[-1]["prob_price"] == [float(row.split(",")[3]) for row in rows]
+    # reruns are byte-identical across interpreters: the same evolve, as CSV
+    # files and as JSON, under two hash seeds
+    reruns = []
+    for seed in ("0", "1"):
+        run("evolve", "--config", "scenario.json", PYTHONHASHSEED=seed)
+        tables = [(tmp_path / name).read_bytes() for name in ("run.csv", "run_summary.csv")]
+        reruns.append((tables, run("evolve", "--config", "stdout_json.json", PYTHONHASHSEED=seed)))
+    assert reruns[0] == reruns[1]
     # a prime N, so the kicks run zero-padded, as two half-length rows
     doc = json.loads(scenario)
     doc.update(N=1031, output={"format": "csv", "path": "prime.csv", "record_every": 10})
@@ -77,3 +85,12 @@ def test_readme_scenario_runs_through_the_module(tmp_path):
     # a header and 3 records (steps 0, 10 and 20) of 1031 rows, and 3 summary rows
     assert len((tmp_path / "prime.csv").read_text().splitlines()) == 3094
     assert len((tmp_path / "prime_summary.csv").read_text().splitlines()) == 4
+    # a comb wider than a lattice spacing (kappa*N < 1) at a prime N, built
+    # through its dual comb's transform
+    comb = {"type": "gaussian", "kappa": 1e-6, "n0": 0, "k0": 0}
+    doc = {"N": 65537, "state": comb, "output": {"format": "csv", "path": "comb.csv"}}
+    (tmp_path / "comb.json").write_text(json.dumps(doc))
+    run("state", "--config", "comb.json")
+    # a header and one record of 65537 rows, and one summary row
+    assert len((tmp_path / "comb.csv").read_text().splitlines()) == 65538
+    assert len((tmp_path / "comb_summary.csv").read_text().splitlines()) == 2

@@ -163,7 +163,7 @@ def test_comb_below_unit_width_needs_no_theta_series(monkeypatch):
     def refuse(z, t):
         raise AssertionError("theta3 is an oracle, not a builder")
 
-    monkeypatch.setattr("stockwave.states.theta3", refuse)
+    monkeypatch.setattr("stockwave.reference.theta3", refuse)
     for size in (1, 2, 21, 1031):
         for kappa in (0.5 / size, 1e-7, 1e-300):
             comb = upsilon_state(ThetaParams(kappa, size)).values
