@@ -20,7 +20,6 @@ NORMALIZATION_TOL = 1e-12
 # | ||Phi|| - 1 | exceeds it, so the distributions of every state it
 # yields sum to 1 within (1 + NORM_DRIFT_TOL)^2 - 1.
 NORM_DRIFT_TOL = 1e-8
-PROBABILITY_SUM_TOL = (1.0 + NORM_DRIFT_TOL) ** 2 - 1.0
 
 
 @dataclass(frozen=True, eq=False)

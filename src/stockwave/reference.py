@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ContractError, DimensionError, NumericalConsistencyError
 from .evolution import Potential, _checked
 from .fourier import circulant_matrix
-from .lattice import PROBABILITY_SUM_TOL, LatticeFunction, NormalizedState
+from .lattice import NORM_DRIFT_TOL, LatticeFunction, NormalizedState
 
 __all__ = [
     "LinearOperatorRepr",
@@ -51,6 +51,7 @@ THETA_RELATIVE_CUTOFF = 1e-16  # first omitted theta term vs partial sum
 HERMITICITY_TOL = 1e-12
 EXPECTATION_IMAG_TOL = 1e-10
 PROPAGATOR_UNITARITY_FACTOR = 1e-10
+PROBABILITY_SUM_TOL = (1.0 + NORM_DRIFT_TOL) ** 2 - 1.0
 
 
 def _phases(size: int, direction: str) -> np.ndarray:

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import stockwave
+
 README = Path(__file__).resolve().parents[1] / "README.md"
-SRC = README.parent / "src"
 
 
 def _tour_values():
@@ -35,15 +36,24 @@ def test_library_tour_results_match_its_comments():
 
 
 def test_readme_scenario_runs_through_the_module(tmp_path):
-    # the checks the CI runs on the installed console script, here through
-    # python -m stockwave in a fresh directory
+    # the CLI's end-to-end checks, through python -m stockwave in a fresh
+    # directory. The subprocesses import the package from where this test
+    # did: src/ in tier-1, the installed package when CI runs this module
+    # from outside the checkout
     scenario = re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1)
     (tmp_path / "scenario.json").write_text(scenario)
     doc = json.loads(scenario)
     del doc["output"]["path"]  # CSV to stdout, the summary table last
     (tmp_path / "stdout.json").write_text(json.dumps(doc))
+    package = str(Path(stockwave.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+    env = {**os.environ, "PYTHONPATH": package + (os.pathsep + path if path else "")}
+    # they import that very package, or CI could test the checkout, not the install
+    where = subprocess.run(
+        [sys.executable, "-c", "import stockwave; print(stockwave.__file__)"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert Path(where.stdout.rstrip("\n")).resolve() == Path(stockwave.__file__).resolve()
 
     def run(*args, **environ):
         result = subprocess.run(
@@ -94,3 +104,12 @@ def test_readme_scenario_runs_through_the_module(tmp_path):
     # a header and one record of 65537 rows, and one summary row
     assert len((tmp_path / "comb.csv").read_text().splitlines()) == 65538
     assert len((tmp_path / "comb_summary.csv").read_text().splitlines()) == 2
+    # a kinetic phase of 2e307, finite although dt * k is not
+    doc = {"N": 3, "state": {"type": "delta", "m": 1},
+           "evolution": {"mu": 10.0, "dt": 1e308, "steps": 1},
+           "output": {"format": "csv", "path": "huge_step.csv"}}
+    (tmp_path / "huge_step.json").write_text(json.dumps(doc))
+    run("evolve", "--config", "huge_step.json")
+    # the exact +-1/2 at N = 2, and Table 1's last row at N = 21
+    assert run("spectrum", "--n", "2") == "1,-0.500000000000\n2,0.500000000000\n"
+    assert run("spectrum", "--n", "21").endswith("\n21,92.750113443389\n")
