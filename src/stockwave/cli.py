@@ -111,15 +111,19 @@ def _ascii(texts: list) -> np.ndarray:
     return np.array(texts, dtype="S").view(np.uint8).reshape(len(texts), -1)
 
 
+_COMMA, _NEWLINE = np.frombuffer(b",", np.uint8), np.frombuffer(b"\n", np.uint8)
+
+
 @functools.lru_cache(maxsize=4)
 def _level_column(size: int) -> np.ndarray:
-    """The "n," field of each distribution row of a lattice, as bytes."""
-    column = _ascii([f"{n}," for n in range(size)])
+    """The "n," field of each distribution row of a lattice, as bytes: the
+    numfmt text of each level n, cut to the widest, then a comma. %.15g
+    writes an integer below 10^15 as its digits."""
+    levels = numfmt.encode(np.arange(size, dtype=np.float64))
+    width = np.count_nonzero(levels.any(axis=0))
+    column = _table((size,), levels[:, :width], _COMMA)
     column.setflags(write=False)
     return column
-
-
-_COMMA, _NEWLINE = np.frombuffer(b",", np.uint8), np.frombuffer(b"\n", np.uint8)
 _SUMMARY_ENDS = np.frombuffer(b"," * (len(SUMMARY_FIELDS) - 1) + b"\n", np.uint8)[:, None]
 
 

@@ -105,10 +105,11 @@ class Potential:
         return _scaled(self.profile(n), self.scales(t))
 
 
-def _scaled(values, scales):
-    """s_k * (... (s_1 * values)), the one order every caller multiplies in."""
+def _scaled(values, scales, out=None):
+    """s_k * (... (s_1 * values)), the one order every caller multiplies in;
+    each product goes into ``out`` when given. No scales return ``values``."""
     for scale in scales:
-        values = scale * values
+        values = np.multiply(scale, values, out=out)
     return values
 
 
@@ -246,12 +247,14 @@ def _kicks(size: int, dt: float, mu: float) -> tuple[Callable, Callable]:
     return circulant(_unit_phasors(angles))
 
 
-def _unit_phasors(angle: np.ndarray) -> np.ndarray:
+def _unit_phasors(angle: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """exp(i*angle) of a real angle array, as its cos and sin: the complex
-    exp's values at less cost. Adds 0.0 to ``angle`` in place, so a zero
-    angle gives 1 + 0i, as the complex exp does, not 1 - 0i."""
+    exp's values at less cost, into ``out`` when given. Adds 0.0 to
+    ``angle`` in place, so a zero angle gives 1 + 0i, as the complex exp
+    does, not 1 - 0i."""
     angle += 0.0
-    out = np.empty(angle.shape, np.complex128)
+    if out is None:
+        out = np.empty(angle.shape, np.complex128)
     np.cos(angle, out=out.real)
     np.sin(angle, out=out.imag)
     return out
@@ -260,9 +263,15 @@ def _unit_phasors(angle: np.ndarray) -> np.ndarray:
 def _phases(potential: Potential, size: int, dt: float) -> Callable[[float], np.ndarray]:
     """t -> exp(-i*dt*V(n, t)), the ``_unit_phasors`` of the real angle. One
     scalar check for V and one for the angle are exact: rounding is
-    monotonic, so |s| * max|v| overflows exactly when some s * v[n] does."""
+    monotonic, so |s| * max|v| overflows exactly when some s * v[n] does.
+    The angle and the phasors are written into two buffers made here, and
+    every call returns the same read-only view of the phasors, valid until
+    the next call with other scales."""
     profile = _checked(potential.profile, size)
-    peak, last = float(np.abs(profile).max()), [None, None]  # last scales, phase
+    peak, last = float(np.abs(profile).max()), [None]  # last scales
+    angle, phasors = np.empty(size), np.empty(size, np.complex128)
+    shared = phasors.view()
+    shared.setflags(write=False)
 
     def phase(t: float) -> np.ndarray:
         scales = potential.scales(t)
@@ -272,10 +281,10 @@ def _phases(potential: Potential, size: int, dt: float) -> Callable[[float], np.
                 raise NumericalConsistencyError(f"potential is not finite at t = {t!r}")
             if not math.isfinite(dt * bound):
                 raise NumericalConsistencyError(f"potential phase is not finite at t = {t!r}")
-            out = _unit_phasors(-dt * _scaled(profile, scales))
-            out.setflags(write=False)  # shared by the steps that reuse it
-            last[:] = scales, out
-        return last[1]
+            np.multiply(-dt, _scaled(profile, scales, angle), out=angle)
+            _unit_phasors(angle, phasors)
+            last[0] = scales
+        return shared
 
     return phase
 

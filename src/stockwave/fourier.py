@@ -13,11 +13,18 @@ is ``circulant_matrix``, O(N^2) from one inverse FFT of d, and
 call, each a cyclic convolution: that matrix's ``dot`` on small
 lattices, else one FFT pair, of length N or, when N has a large prime
 factor, over the two rows of length L of a convolution zero-padded to
-2L, L >= N a fast length. The FFT products check the shape of their
-input and transform in place: a length-N product inverts into its own
-forward spectrum, and the padded products of one call share one staging
-buffer, whose tail each re-zeroes, and one twist table, so only their
-responses cost memory per diagonal and a call allocates its output.
+2L. L is the length with no prime factor above 11 in [N, N + N // 16]
+whose pair pocketfft runs fastest by a fitted pass-cost model
+(PASS_COST). The window is that wide because the two padded kicks
+retain ~112 B per level times L / N, and 120 B are allowed. In four
+sweeps of 62 random padded N in [67, 20000] each, the pair at that L
+took a median 0.93-0.95 of the time of the pair at the least such
+length, and none more than 1.04. The FFT products check the shape of
+their input and transform in place: a length-N product inverts into its
+own forward spectrum, and the padded products of one call share one
+staging buffer, whose tail each re-zeroes, and one twist table, so only
+their responses cost memory per diagonal and a call allocates its
+output.
 """
 from __future__ import annotations
 
@@ -32,17 +39,43 @@ from .lattice import LatticeFunction
 # product beats np.fft's per-call overhead (1.7-4x at N = 8..128 on
 # numpy 2.4, x86-64); a low cutoff keeps each matrix small.
 NAIVE_CUTOFF = 32
-# pocketfft has hard-coded passes for the primes up to this one; a larger
-# prime factor takes a generic O(p) pass, or Bluestein (three FFTs of a
-# length >= 2N - 1).
-FAST_RADIX_LIMIT = 11
+# pocketfft has hard-coded passes for these primes; a larger prime factor
+# takes a generic O(p) pass, or Bluestein (three FFTs of a length
+# >= 2N - 1).
+FAST_RADICES = (2, 3, 5, 7, 11)
+# The modelled time of the FFT pair over (2, L), L with no prime factor
+# above 11, is L times the sum of one weight per pass of pocketfft's
+# factorization of L (radix 8 while it divides, then 4, then 2, then each
+# odd prime), times ALIASED_COST when 1024 divides L: such lengths ran
+# ~12% slower than their passes predict, the one pattern left in the
+# residuals (likely cache-set conflicts between a pass's strided
+# streams). The weights are fitted once, relative to radix 8, by least
+# squares on the log time ratios of the 5822 pairs of such L within 6.25%
+# of each other in [64, 22000]. The times are the geometric mean of two
+# sweeps of the best of 15 interleaved rounds of the pair at each of the
+# 666 lengths (numpy 2.4, x86-64, pocketfft's per-call scratch from the
+# heap, not fresh pages). One unit is ~7.2 ns per level:
+#
+#   radix    8     4     2     3     5     7     11    1024 | L
+#   weight  1.00  0.71  0.57  0.71  0.93  1.17  1.63   x 1.12
+#
+# The model's time ratios err by 5.2% rms over those pairs, against 10.4%
+# for "the smaller L is faster". At N = 1031 it picks 1056 = 2^5 * 3 * 11:
+#
+#   L               1050    1056    1078    1080    1089
+#   pair (us)       43.8    40.5    45.2    40.3    47.7
+#   model (units)   4526    4277    4894    4385    5097
+PASS_COST = {8: 1.0, 4: 0.71, 2: 0.57, 3: 0.71, 5: 0.93, 7: 1.17, 11: 1.63}
+ALIASED_COST = 1.12
 # A circulant keeps length N while no prime factor of N exceeds this, and
-# is zero-padded beyond it. Timed on numpy 2.4, x86-64, N = p * 4 and
-# p * 16 against the padded two-row pair: for p = 13..47 the length-N
-# pair is 1.0-1.5x faster, for p = 53..61 the two are within 15% either
-# way, and the padded pair wins by 1.0-1.4x at p = 67..83, 1.3-1.5x at
-# p = 89..113 (2.2x at 101 * 4 and 107 * 4), 2.2-3.3x at p = 127 and
-# 3.0x at N = 1031.
+# is zero-padded beyond it. Timed on numpy 2.4, x86-64, as whole products
+# at N = p * 4 and p * 16, best of 15 interleaved rounds, the padded one
+# at _padded_length(N): for p = 13..43 the length-N product is 1.0-1.3x
+# faster, at p = 47 the two tie (0.94 and 1.01), at p = 53..61 the padded
+# one is 1.02-1.13x faster, and it wins by 1.1-1.3x at p = 67..83,
+# 1.3-1.6x at p = 89..113 (2.3-2.4x at 101 * 4 and 107 * 4) and 2.6-3.5x
+# at p = 127. The limit stays at 61: below it the padded products gain at
+# most 13%, and a pair of them retains ~112 B per level, a length-N pair 32.
 UNPADDED_PRIME_LIMIT = 61
 
 
@@ -53,11 +86,38 @@ def _has_factors_at_most(n: int, limit: int) -> bool:
     return n == 1
 
 
-def _fast_length(n: int) -> int:
-    """Smallest length >= n with no prime factor above FAST_RADIX_LIMIT."""
-    while not _has_factors_at_most(n, FAST_RADIX_LIMIT):
-        n += 1
-    return n
+def _smooth_lengths(low: int, high: int) -> list[int]:
+    """The lengths in [low, high] with no prime factor above 11, ascending:
+    the products 2^a 3^b 5^c 7^d 11^e, some 3000 below 2.2e6, not a trial
+    division of every integer."""
+    lengths = [1]
+    for prime in FAST_RADICES:
+        grown = []
+        for length in lengths:
+            while length <= high:
+                grown.append(length)
+                length *= prime
+        lengths = grown
+    return sorted(length for length in lengths if length >= low)
+
+
+def _pair_cost(length: int) -> float:
+    """The modelled time of the FFT pair over (2, length), in PASS_COST
+    units, for a length with no prime factor above 11."""
+    per_level, rest = 0.0, length
+    for radix in PASS_COST:  # pocketfft's order of passes
+        while rest % radix == 0:
+            rest //= radix
+            per_level += PASS_COST[radix]
+    return length * per_level * (ALIASED_COST if length % 1024 == 0 else 1.0)
+
+
+def _padded_length(size: int) -> int:
+    """The half length L of a padded product at N = size: the 11-smooth L
+    in [N, N + N // 16] of least _pair_cost, the smaller on a tie. The
+    window holds such an L for every N >= 62 (checked up to 2^26)."""
+    candidates = _smooth_lengths(size, size + size // 16)
+    return min(candidates, key=lambda length: (_pair_cost(length), length))
 
 
 def circulant_matrix(diagonal) -> np.ndarray:
@@ -77,7 +137,7 @@ def circulant(diagonals: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray]
     pair: of length N with response d while N's prime factors stay within
     UNPADDED_PRIME_LIMIT, else the linear convolution with the wrapped
     kernel (c[0..N-1] at the front, c[1..N-1] at the tail) zero-padded to
-    M = 2L, L = _fast_length(N), whose first N entries are the cyclic one,
+    M = 2L, L = _padded_length(N), whose first N entries are the cyclic one,
     as one pair of length L over two rows. The realization depends on N
     alone, so it is chosen once for the whole stack. The dense products
     are returned bare: callers pass arrays of shape (N,). An FFT product
@@ -119,7 +179,7 @@ def circulant(diagonals: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray]
     # are (IFFT_L(R_even X_even) + conj(w) IFFT_L(R_odd X_odd)) / 2. The
     # 1/2 goes into the response; so does the sign of conj(w[n]) =
     # -w[L - n], which lets one table of w[0..L] serve both twists.
-    half = _fast_length(size)
+    half = _padded_length(size)
     table = np.exp(-1j * np.pi / half * np.arange(half + 1))
     twist, untwist = table[:size], table[half:half - size:-1]
     staged = np.empty((2, half), dtype=np.complex128)

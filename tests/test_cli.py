@@ -498,6 +498,7 @@ def test_csv_tables_span_blocks_one_format_pass_each(tmp_path, monkeypatch, size
         "output": {"format": "csv", "path": str(tmp_path / "run.csv"), "record_every": 1},
     }
     sizes, decimal = [], cli.numfmt._decimal
+    cli._level_column(size)  # formatted once per size and cached: count the tables only
 
     def counted_decimal(values):
         sizes.append(values.size)
@@ -511,6 +512,15 @@ def test_csv_tables_span_blocks_one_format_pass_each(tmp_path, monkeypatch, size
     assert len(dist_writes) == len(summary_writes) == 3  # blocks
     paths = [tmp_path / "run.csv", tmp_path / "run_summary.csv"]
     assert [path.read_text() for path in paths] == reference_output(doc)
+
+
+@pytest.mark.parametrize("size", [1, 10, 11, 100, 1001, 2**20])
+def test_level_column_is_the_f_string_column(size):
+    # numfmt's text of each level, cut to the widest, then a comma: row
+    # for row the bytes of f"{n}," once the zero padding goes
+    rows = cli._table((size,), cli._level_column(size), cli._NEWLINE)
+    expected = "".join(f"{n},\n" for n in range(size))
+    assert rows.tobytes().translate(None, b"\0").decode("ascii") == expected
 
 
 def fail_write(monkeypatch, sink_class, file_attr, failing=None):

@@ -309,6 +309,29 @@ def test_padded_step_allocates_only_order_n(size):
     assert peak - start <= 72 * size, (peak - start) / size
 
 
+@pytest.mark.parametrize("size", [1031, 16411])
+def test_padded_step_makes_no_phase_arrays(size):
+    # the setup of the test above, one phase function for both runs: a
+    # step's transient memory is the kick's output and the state (16 B per
+    # level each), as the phase's angle and phasors are written into
+    # buffers made with the phase function; a fresh scaled profile, angle
+    # and phasors per step read ~56 B
+    dt, mu = 1e-3, 1.0
+    values = gaussian_packet(PacketParams(ThetaParams(1.0, size), size // 3, 2)).values
+    phase, kicks = _phases(_modulated_trap(size), size, dt), _kicks(size, dt, mu)
+    list(_strang_steps(values, 0.0, dt, 10, 10, phase, *kicks))  # warm
+    steps = _strang_steps(values, 0.0, dt, 10, 10, phase, *kicks)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        for _ in steps:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 40 * size, (peak - start) / size
+
+
 def test_steps_never_write_caller_or_yielded_arrays():
     # kicks and phases are applied in place only to arrays a step made:
     # the initial state and every yielded state keep their bytes

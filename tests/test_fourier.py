@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,10 @@ from stockwave import (
 from stockwave.fourier import (
     NAIVE_CUTOFF,
     UNPADDED_PRIME_LIMIT,
-    _fast_length,
+    _has_factors_at_most,
+    _padded_length,
+    _pair_cost,
+    _smooth_lengths,
     circulant,
     circulant_matrix,
 )
@@ -141,7 +145,7 @@ def test_dft_matrix_is_unitary():
 
 PRIMES_TO_512 = primes_to(512)
 PRIMES_TO_2100 = primes_to(2100)
-SMOOTH_TO_2100 = [n for n in range(1, 2101) if _fast_length(n) == n]
+SMOOTH_TO_2100 = _smooth_lengths(1, 2100)
 
 
 def _unit_state(seed, size):
@@ -195,9 +199,11 @@ def test_circulant_matches_defining_sums(size, seed):
         2 * UNPADDED_PRIME_LIMIT,  # length N
         67,  # padded to M = 2L = 140
         83,  # padded to M = 168: L = N + 1, the least slack
+        601,  # an odd half length, L = 625
         1031,
+        1055,  # L = 1120 against the old 1056, the widest move up to 2100
         2062,  # padded: a prime and twice a prime
-        2063,  # an odd half length, L = 2079
+        2063,  # L = 2112, where the least 11-smooth length is 2079
     ],
 )
 def test_circulant_realizations_match_defining_sums(size):
@@ -205,8 +211,39 @@ def test_circulant_realizations_match_defining_sums(size):
 
 
 def test_circulant_padded_lengths():
-    assert [_fast_length(n) for n in (1, 13, 133, 2061, 4123)] == [1, 14, 135, 2079, 4125]
-    assert _fast_length(1031) == 1050  # the half length L of a padded product at N = 1031
+    assert _smooth_lengths(1, 16) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 15, 16]
+    assert _smooth_lengths(2061, 2080) == [2079]
+    assert _padded_length(1031) == 1056  # the half length L of a padded product at N = 1031
+
+
+PADDED_PRIMES = [p for p in PRIMES_TO_2100 if p > UNPADDED_PRIME_LIMIT]
+PADDED_TO_2100 = [n for n in range(1, 2101) if not _has_factors_at_most(n, UNPADDED_PRIME_LIMIT)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    size=st.one_of(
+        st.sampled_from(PADDED_PRIMES),
+        st.sampled_from([2 * p for p in PADDED_PRIMES]),
+        st.sampled_from([4 * p for p in PADDED_PRIMES]),
+        st.sampled_from(PADDED_TO_2100),
+    )
+)
+def test_padded_length_is_the_cheapest_in_its_window(size):
+    # the window's 11-smooth lengths by trial division of every integer in it
+    window = [n for n in range(size, size + size // 16 + 1) if _has_factors_at_most(n, 11)]
+    length = _padded_length(size)
+    assert size <= length <= size + size // 16 and _has_factors_at_most(length, 11)
+    assert length == min(window, key=lambda n: (_pair_cost(n), n))
+
+
+def test_padded_length_is_quick_at_the_largest_prime_below_2_to_20():
+    # ~0.7 ms on numpy 2.4, x86-64: some 2500 products enumerated, where a
+    # trial division of the 65536 integers in the window takes ~70 ms
+    start = time.perf_counter()
+    length = _padded_length(1048573)
+    assert time.perf_counter() - start < 0.02
+    assert 1048573 <= length <= 1048573 + 1048573 // 16
 
 
 OTHER_SHAPES = [
