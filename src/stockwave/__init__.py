@@ -1,127 +1,23 @@
-"""Wavefunction-style stock price/ownership states on a cyclic lattice."""
+"""Wavefunction-style stock price/ownership states on a cyclic lattice.
 
-from .errors import (
-    ConservationError,
-    ContractError,
-    ConvergenceError,
-    DegenerateStateError,
-    DimensionError,
-    InvariantViolationError,
-    NumericalConsistencyError,
-    StockwaveError,
-)
-from .lattice import LatticeFunction, NormalizedState, norm, normalize
-from .fourier import forward, inverse
-from .states import (
-    PacketParams,
-    ThetaParams,
-    delta_state,
-    gamma_state,
-    gaussian_packet,
-    upsilon_state,
-)
-from .operators import SpectrumResult, UncertaintyReport, commutator_spectrum
-from .evolution import (
-    EvolutionParams,
-    HarmonicPotential,
-    LinearPotential,
-    ModulatedPotential,
-    Potential,
-    TabulatedPotential,
-    TrajectoryRecord,
-    ZeroPotential,
-    evolve,
-    uncertainty_product_report,
-)
-from .scenario import (
-    CustomStateSpec,
-    DeltaStateSpec,
-    EvolutionSpec,
-    GaussianStateSpec,
-    OutputSpec,
-    Scenario,
-    ScenarioError,
-    build_initial_state,
-    parse_scenario,
-    serialize_scenario,
-)
-from .reference import (
-    LinearOperatorRepr,
-    ProbabilityVector,
-    commutator,
-    dft_matrix,
-    exact_propagator,
-    expectation,
-    forward_naive,
-    inner_product,
-    owner_distribution,
-    ownership_operator,
-    price_distribution,
-    price_operator,
-    static_hamiltonian,
-    theta3,
-    uncertainty,
-)
+Each module lists its public names in its own ``__all__``; the package
+re-exports them, and its ``__all__`` is their sorted union.
+"""
+
+from . import errors, lattice, fourier, states, operators, evolution, scenario, reference
+from .errors import *
+from .lattice import *
+from .fourier import *
+from .states import *
+from .operators import *
+from .evolution import *
+from .scenario import *
+from .reference import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConservationError",
-    "ContractError",
-    "ConvergenceError",
-    "CustomStateSpec",
-    "DegenerateStateError",
-    "DeltaStateSpec",
-    "DimensionError",
-    "EvolutionParams",
-    "EvolutionSpec",
-    "GaussianStateSpec",
-    "HarmonicPotential",
-    "InvariantViolationError",
-    "LatticeFunction",
-    "LinearOperatorRepr",
-    "LinearPotential",
-    "ModulatedPotential",
-    "NormalizedState",
-    "NumericalConsistencyError",
-    "OutputSpec",
-    "PacketParams",
-    "Potential",
-    "ProbabilityVector",
-    "Scenario",
-    "ScenarioError",
-    "SpectrumResult",
-    "StockwaveError",
-    "TabulatedPotential",
-    "ThetaParams",
-    "TrajectoryRecord",
-    "UncertaintyReport",
-    "ZeroPotential",
-    "build_initial_state",
-    "commutator",
-    "commutator_spectrum",
-    "delta_state",
-    "dft_matrix",
-    "evolve",
-    "exact_propagator",
-    "expectation",
-    "forward",
-    "forward_naive",
-    "gamma_state",
-    "gaussian_packet",
-    "inner_product",
-    "inverse",
-    "norm",
-    "normalize",
-    "owner_distribution",
-    "ownership_operator",
-    "parse_scenario",
-    "price_distribution",
-    "price_operator",
-    "serialize_scenario",
-    "static_hamiltonian",
-    "theta3",
-    "uncertainty",
-    "uncertainty_product_report",
-    "upsilon_state",
-]
+__all__ = sorted(
+    name
+    for module in (errors, lattice, fourier, states, operators, evolution, scenario, reference)
+    for name in module.__all__
+)

@@ -1,5 +1,16 @@
 """Shared exception types."""
 
+__all__ = [
+    "ConservationError",
+    "ContractError",
+    "ConvergenceError",
+    "DegenerateStateError",
+    "DimensionError",
+    "InvariantViolationError",
+    "NumericalConsistencyError",
+    "StockwaveError",
+]
+
 
 class StockwaveError(Exception):
     """Base class for all library errors."""

@@ -58,6 +58,19 @@ from .fourier import circulant
 from .lattice import NORM_DRIFT_TOL, LatticeFunction, NormalizedState
 from .operators import UncertaintyReport, block_observables
 
+__all__ = [
+    "EvolutionParams",
+    "HarmonicPotential",
+    "LinearPotential",
+    "ModulatedPotential",
+    "Potential",
+    "TabulatedPotential",
+    "TrajectoryRecord",
+    "ZeroPotential",
+    "evolve",
+    "uncertainty_product_report",
+]
+
 # The relation holds for every state, so a product under the Robertson
 # bound by more than the slack is a bug signal. The slack is this, or this
 # share of ||P Phi|| ||O Phi|| where that is larger: the bound is

@@ -35,6 +35,11 @@ import numpy as np
 from .errors import DimensionError
 from .lattice import LatticeFunction
 
+__all__ = [
+    "forward",
+    "inverse",
+]
+
 # A circulant is its dense matrix up to here, an FFT pair beyond. The
 # product beats np.fft's per-call overhead (1.7-4x at N = 8..128 on
 # numpy 2.4, x86-64); a low cutoff keeps each matrix small.

@@ -15,6 +15,13 @@ import numpy as np
 
 from .errors import DegenerateStateError
 
+__all__ = [
+    "LatticeFunction",
+    "NormalizedState",
+    "norm",
+    "normalize",
+]
+
 NORMALIZATION_TOL = 1e-12
 # Norm conservation budget of time evolution: evolve raises once
 # | ||Phi|| - 1 | exceeds it, so the distributions of every state it

@@ -26,6 +26,12 @@ import numpy as np
 from .eigen import _symmetric_eigensystem
 from .errors import NumericalConsistencyError
 
+__all__ = [
+    "SpectrumResult",
+    "UncertaintyReport",
+    "commutator_spectrum",
+]
+
 # Relative: a report is saturated once product - bound is at most this
 # share of the product, so two spreads of round-off are not saturated
 # merely because their product is tiny.

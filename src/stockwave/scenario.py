@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +27,19 @@ from .evolution import (
 )
 from .lattice import LatticeFunction, NormalizedState, normalize
 from .states import PacketParams, ThetaParams, delta_state, gaussian_packet
+
+__all__ = [
+    "CustomStateSpec",
+    "DeltaStateSpec",
+    "EvolutionSpec",
+    "GaussianStateSpec",
+    "OutputSpec",
+    "Scenario",
+    "ScenarioError",
+    "build_initial_state",
+    "parse_scenario",
+    "serialize_scenario",
+]
 
 # Largest lattice for a scenario; state, uncertainty and evolve are O(N).
 # Their CLI peak (tracemalloc after a warm-up, N in {1024, 1031, 4099,
@@ -125,6 +140,22 @@ def _string(value, size, path):
     return value
 
 
+def _path(value, size, path):
+    """An output path that can name a file: text the file system encoding
+    can write, no NUL, and a last component (the CSV summary file is
+    named after it)."""
+    _string(value, size, path)
+    try:
+        os.fsencode(value)
+    except UnicodeEncodeError:
+        raise ScenarioError(f"range violation at {path}: not encodable as a file name") from None
+    if "\0" in value:
+        raise ScenarioError(f"range violation at {path}: contains a NUL character")
+    if not Path(value).name:
+        raise ScenarioError(f"range violation at {path}: {value!r} names no file")
+    return value
+
+
 def _index(value, size, path):
     if not 0 <= _integer(value, size, path) < size:
         raise ScenarioError(f"range violation at {path}: {value} not in [0, {size})")
@@ -172,7 +203,7 @@ _READERS = {
     "center": _number, "strength": _number, "slope": _number,
     "amplitude": _number, "omega": _number, "t0": _number,
     "base": _potential, "potential": _potential,
-    "format": _format, "path": _string,
+    "format": _format, "path": _path,
 }
 
 

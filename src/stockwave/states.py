@@ -27,6 +27,15 @@ import numpy as np
 
 from .lattice import LatticeFunction, NormalizedState, normalize
 
+__all__ = [
+    "PacketParams",
+    "ThetaParams",
+    "delta_state",
+    "gamma_state",
+    "gaussian_packet",
+    "upsilon_state",
+]
+
 COMB_TERM_FLOOR = 1e-18  # first omitted comb translate
 
 

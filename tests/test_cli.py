@@ -811,6 +811,11 @@ def _bug_case(command, fmt="csv", **evolution):
     return command, doc
 
 
+def _path_case(path, fmt="csv"):
+    return "state", {"N": 3, "state": {"type": "delta", "m": 1},
+                     "output": {"format": fmt, "path": path}}
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(run=scenario_runs())
 # dt * k^2 overflowed in the kick: RuntimeWarnings, then "norm drifted by nan"
@@ -822,6 +827,14 @@ def _bug_case(command, fmt="csv", **evolution):
                                           "im": [0.0, 0.0, 0.0]}}))
 @example(run=("uncertainty", {"N": 3, "state": {"type": "custom", "re": [1e-200, 1e-170, 0.0],
                                                 "im": [0.0, 0.0, 0.0]}}))
+# output paths that name no file: tracebacks from pathlib, open() or the
+# file system encoding
+@example(run=_path_case(""))
+@example(run=_path_case("."))
+@example(run=_path_case("/"))
+@example(run=_path_case("a\0b.csv"))
+@example(run=_path_case("a\0b.json", "json"))
+@example(run=_path_case("\ud800.csv"))
 def test_every_run_ends_in_a_documented_exit_code(tmp_path_factory, run):
     command, doc = run
     config = tmp_path_factory.mktemp("fuzz") / "scenario.json"
@@ -895,31 +908,6 @@ def test_json_output_format(tmp_path):
     record = data["records"][0]
     assert record["prob_price"] == [0.0, 1.0, 0.0, 0.0]
     assert sum(record["prob_owner"]) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_determinism_byte_identical(tmp_path):
-    doc = {
-        "N": 21,
-        "state": {"type": "gaussian", "kappa": 0.6667, "n0": 7, "k0": 14},
-        "output": {"format": "csv", "path": str(tmp_path / "fig2.csv")},
-    }
-    config = write_config(tmp_path, doc)
-    assert run_cli(["--quiet", "state", "--config", config]) == 0
-    first = (tmp_path / "fig2.csv").read_bytes()
-    first_summary = (tmp_path / "fig2_summary.csv").read_bytes()
-    assert run_cli(["--quiet", "state", "--config", config]) == 0
-    assert (tmp_path / "fig2.csv").read_bytes() == first
-    assert (tmp_path / "fig2_summary.csv").read_bytes() == first_summary
-
-
-def test_module_entry_point(tmp_path):
-    result = subprocess.run(
-        [sys.executable, "-m", "stockwave", "spectrum", "--n", "2"],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0
-    assert len(result.stdout.splitlines()) == 2
 
 
 def test_usage_error_exit_code():
