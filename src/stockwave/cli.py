@@ -165,12 +165,17 @@ def _stripped(table: np.ndarray) -> str:
     return table.tobytes().translate(None, b"\0").decode("ascii")
 
 
+def _truncation_row(header: str) -> str:
+    return TRUNCATION_MARKER + "," * header.count(",") + "\n"
+
+
 class _CsvSink(contextlib.AbstractContextManager):
     """Distributions at the scenario path, summary at a _summary sibling;
     a table is one record block, one write to each. Without a path the
     distributions stream to stdout and the summary table, spooled to a
     temporary file, follows them at the end. Used as a with-block: an
-    exception leaving the block ends both tables in a TRUNCATED row; the
+    exception leaving the block ends both tables in a TRUNCATED row, as a
+    summary file that cannot be opened ends the distributions table; the
     files are always closed."""
 
     def __init__(self, path: str | None):
@@ -183,7 +188,11 @@ class _CsvSink(contextlib.AbstractContextManager):
                 target = Path(path)
                 summary_target = target.with_name(target.stem + "_summary" + target.suffix)
                 self._dist_file = files.enter_context(open(target, "w", newline=""))
-                self._summary_file = files.enter_context(open(summary_target, "w", newline=""))
+                try:
+                    self._summary_file = files.enter_context(open(summary_target, "w", newline=""))
+                except OSError:  # the distributions file ends as an aborted run's does
+                    self._dist_file.write(DIST_HEADER + "\n" + _truncation_row(DIST_HEADER))
+                    raise
             self._dist_file.write(DIST_HEADER + "\n")
             self._summary_file.write(SUMMARY_HEADER + "\n")
             self._files = files.pop_all()
@@ -214,8 +223,8 @@ class _CsvSink(contextlib.AbstractContextManager):
     def __exit__(self, exc_type, exc, tb):
         with self._files:
             if exc_type is not None:
-                self._dist_file.write(TRUNCATION_MARKER + "," * DIST_HEADER.count(",") + "\n")
-                self._summary_file.write(TRUNCATION_MARKER + "," * SUMMARY_HEADER.count(",") + "\n")
+                self._dist_file.write(_truncation_row(DIST_HEADER))
+                self._summary_file.write(_truncation_row(SUMMARY_HEADER))
             if self._to_stdout:
                 self._dist_file.write("\n")
                 self._summary_file.seek(0)

@@ -55,7 +55,7 @@ from .errors import (
     ConservationError, DimensionError, InvariantViolationError, NumericalConsistencyError,
 )
 from .fourier import circulant
-from .lattice import NORM_DRIFT_TOL, LatticeFunction, NormalizedState
+from .lattice import NORM_DRIFT_TOL, NormalizedState
 from .operators import UncertaintyReport, block_observables
 
 __all__ = [
@@ -357,7 +357,7 @@ class RecordBlock:
         """One record per row, in order; states and reports view the block."""
         rows = zip(self.states, self.marks, self.prob_price, self.prob_owner, self.summary.tolist())
         for values, (step, time), price, owner, (*scalars, norm_error) in rows:
-            state = NormalizedState._trusted(LatticeFunction._trusted(values))
+            state = NormalizedState._trusted(values)
             report = UncertaintyReport(price, owner, *scalars)
             yield TrajectoryRecord(step, time, state, report, norm_error)
 

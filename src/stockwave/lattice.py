@@ -46,8 +46,9 @@ class LatticeFunction:
 
     @classmethod
     def _trusted(cls, values: np.ndarray) -> "LatticeFunction":
-        # Integrator internals: a row of a read-only record block whose
-        # finiteness the norm check already covers; kept as a view.
+        # Integrator internals: a row of a read-only record block, kept as a
+        # view. Its norm drift is policed against the looser conservation
+        # budget, and that check covers its finiteness.
         obj = object.__new__(cls)
         object.__setattr__(obj, "values", values)
         return obj
@@ -58,31 +59,14 @@ class LatticeFunction:
 
 
 @dataclass(frozen=True, eq=False)
-class NormalizedState:
+class NormalizedState(LatticeFunction):
     """A LatticeFunction whose probabilities sum to one."""
 
-    base: LatticeFunction
-
     def __post_init__(self):
-        total = float(np.sum(np.abs(self.base.values) ** 2))
+        super().__post_init__()
+        total = float(np.sum(np.abs(self.values) ** 2))
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"state is not normalized: sum of |Phi(n)|^2 = {total!r}")
-
-    @classmethod
-    def _trusted(cls, base: LatticeFunction) -> "NormalizedState":
-        # Integrator internals: norm drift there is policed against a looser
-        # conservation budget, so skip the strict construction check.
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "base", base)
-        return obj
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.base.values
-
-    @property
-    def size(self) -> int:
-        return self.base.size
 
 
 def _scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -115,5 +99,5 @@ def normalize(phi: LatticeFunction) -> NormalizedState:
     length = np.linalg.norm(values)
     if length == 0.0:
         raise DegenerateStateError("zero-norm function has no normalized form")
-    return NormalizedState(LatticeFunction(values / length))
+    return NormalizedState(values / length)
 

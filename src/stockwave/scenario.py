@@ -17,7 +17,6 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -45,10 +44,10 @@ __all__ = [
 # Their CLI peak (tracemalloc after a warm-up, N in {1024, 1031, 4099,
 # 16411}, primes zero-padded) is largest for an evolve of a custom state
 # under a modulated tabulated trap (a comb at kappa*N = 1: ~65 B less):
-# ~595 B per level from N = 4099 for JSON (377 for CSV), where a record
+# ~606 B per level from N = 4099 for JSON (388 for CSV), where a record
 # block holds one record, and ~950 B at N = 1031 for CSV, where the
 # fixed buffers (a format pass, a block's table: ~0.9 MB) weigh more per
-# level. 595 B * 2^20 = 595 MiB of a 1 GiB budget.
+# level. 606 B * 2^20 = 606 MiB of a 1 GiB budget.
 MAX_LATTICE_SIZE = 2**20
 
 
@@ -142,8 +141,8 @@ def _string(value, size, path):
 
 def _path(value, size, path):
     """An output path that can name a file: text the file system encoding
-    can write, no NUL, and a last component (the CSV summary file is
-    named after it)."""
+    can write, no NUL, and a last component as open reads it that is not
+    empty, "." or ".." (the CSV summary file is named after it)."""
     _string(value, size, path)
     try:
         os.fsencode(value)
@@ -151,7 +150,7 @@ def _path(value, size, path):
         raise ScenarioError(f"range violation at {path}: not encodable as a file name") from None
     if "\0" in value:
         raise ScenarioError(f"range violation at {path}: contains a NUL character")
-    if not Path(value).name:
+    if os.path.basename(value) in ("", ".", ".."):
         raise ScenarioError(f"range violation at {path}: {value!r} names no file")
     return value
 

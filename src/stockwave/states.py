@@ -81,7 +81,7 @@ def delta_state(m: int, size: int) -> NormalizedState:
         raise IndexError(f"m must lie in [0, {size}), got {m}")
     values = np.zeros(size, dtype=np.complex128)
     values[m] = 1.0
-    return NormalizedState(LatticeFunction(values))
+    return NormalizedState(values)
 
 
 def _translate_window(rate: float, size: int) -> int:
@@ -132,4 +132,4 @@ def gaussian_packet(params: PacketParams) -> NormalizedState:
     n = np.arange(size)
     shifted = comb[(n - params.n0) % size]
     phases = np.exp(2j * np.pi / size * ((params.k0 * n) % size))
-    return NormalizedState(LatticeFunction(phases * shifted))
+    return NormalizedState(phases * shifted)

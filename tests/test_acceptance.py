@@ -12,7 +12,6 @@ import pytest
 from stockwave import (
     EvolutionParams,
     HarmonicPotential,
-    LatticeFunction,
     NormalizedState,
     PacketParams,
     ThetaParams,
@@ -74,7 +73,7 @@ def test_criterion_2_uncertainty_saturation(capsys):
     started = time.perf_counter()
     ups = upsilon_state(ThetaParams(1.0, 21)).values.real
     n = np.arange(21)
-    state = NormalizedState(LatticeFunction(((-1.0) ** n) * ups[(n - 10) % 21]))
+    state = NormalizedState(((-1.0) ** n) * ups[(n - 10) % 21])
     report = uncertainty_product_report(state)
     assert abs(report.product - 1.6711269024646) < 1e-9
     assert abs(report.bound - 1.6711269024649) < 1e-9
@@ -179,7 +178,7 @@ def test_criterion_8_evolution_correctness(capsys):
     assert 1.9 <= order <= 2.1
 
     # (d) owner eigenstates are stationary under V = 0
-    eigenstate = NormalizedState(inverse(delta_state(4, size).base))
+    eigenstate = NormalizedState(inverse(delta_state(4, size)).values)
     params = EvolutionParams(mu=mu, dt=0.01, steps=500)
     reference = np.abs(forward(eigenstate).values) ** 2
     for record in evolve(eigenstate, params, ZeroPotential(), record_every=100):

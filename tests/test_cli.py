@@ -1027,6 +1027,33 @@ def test_csv_sink_closes_distributions_when_summary_open_fails(tmp_path, monkeyp
     assert opened and all(handle.closed for handle in opened)
 
 
+def test_csv_summary_open_failure_marks_distributions(tmp_path, capsys):
+    # an earlier distributions file must not be left truncated to nothing
+    (tmp_path / "out_summary.csv").mkdir()
+    (tmp_path / "out.csv").write_text("step,t,n,prob_price,prob_owner\n0,0,0,1,1\n")
+    config = write_config(tmp_path, delta_doc(tmp_path))
+    assert run_cli(["--quiet", "state", "--config", config]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("stockwave: ") and err.count("\n") == 1 and "out_summary.csv" in err
+    assert (tmp_path / "out.csv").read_text() == "step,t,n,prob_price,prob_owner\nTRUNCATED,,,,\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("path", ["out.csv/", "out.csv/.", "..", "sub/.."])
+def test_path_with_no_last_file_name_is_a_range_violation(tmp_path, monkeypatch, capsys, path, fmt):
+    # the last component is read as open() reads it, not as pathlib does:
+    # pathlib drops a trailing "/" or "/."
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    doc = delta_doc(tmp_path)
+    doc["output"] = {"format": fmt, "path": path}
+    config = write_config(tmp_path, doc)
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli(["--quiet", "state", "--config", config]) == 1
+    assert capsys.readouterr().err == f"stockwave: range violation at output.path: {path!r} names no file\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_json_evolve_memory_does_not_grow_with_records(tmp_path):
     def peak(records):
         doc = {

@@ -49,13 +49,13 @@ def _step(values, t_mid, dt, mu, potential):
 
 def test_kinetic_on_owner_eigenstate_is_global_phase():
     size, m, dt, mu = 21, 4, 0.3, 1.0
-    eigen = inverse(delta_state(m, size).base)
+    eigen = inverse(delta_state(m, size))
     out = LatticeFunction(_kicks(size, dt, mu)[0](eigen.values))
     phase = np.exp(-1j * (dt / 2.0) * m * m / (2.0 * mu))
     assert np.max(np.abs(out.values - phase * eigen.values)) < 1e-13
     from stockwave import NormalizedState
 
-    dist = owner_distribution(NormalizedState(out)).probs
+    dist = owner_distribution(NormalizedState(out.values)).probs
     assert dist[m] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -175,7 +175,7 @@ def test_evolve_stationary_owner_eigenstate():
     size, m = 21, 3
     from stockwave import NormalizedState
 
-    phi0 = NormalizedState(inverse(delta_state(m, size).base))
+    phi0 = NormalizedState(inverse(delta_state(m, size)).values)
     params = EvolutionParams(mu=1.0, dt=0.01, steps=200)
     for record in evolve(phi0, params, ZeroPotential(), record_every=50):
         owner = owner_distribution(record.state).probs

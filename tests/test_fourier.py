@@ -57,7 +57,7 @@ def test_forward_maps_upsilon_to_dual():
 
 def test_inverse_delta_is_owner_eigenfunction():
     size, m = 21, 6
-    out = inverse(delta_state(m, size).base)
+    out = inverse(delta_state(m, size))
     n = np.arange(size)
     expected = np.exp(2j * np.pi * m * n / size) / np.sqrt(size)
     assert np.allclose(out.values, expected, atol=1e-14)
@@ -313,7 +313,7 @@ def test_auto_transforms_keep_norm_and_have_period_four(size, seed):
         assert abs(np.linalg.norm(out.values) - 1.0) < 1e-12
     # the observables' transform, bit for bit
     probs = np.abs(owner.values) ** 2
-    assert np.array_equal(probs, owner_distribution(NormalizedState(phi)).probs)
+    assert np.array_equal(probs, owner_distribution(NormalizedState(phi.values)).probs)
     assert np.array_equal(probs, block_observables(phi.values[None])[1][0])
     # a unit state, so the bounds are relative to the norm
     assert np.max(np.abs(inverse(owner).values - phi.values)) < 1e-14

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,11 +9,13 @@ from hypothesis.extra import numpy as hnp
 from stockwave import (
     DegenerateStateError,
     DimensionError,
+    EvolutionParams,
     LatticeFunction,
     NormalizedState,
     PacketParams,
     ProbabilityVector,
     ThetaParams,
+    ZeroPotential,
     delta_state,
     gamma_state,
     gaussian_packet,
@@ -24,13 +27,14 @@ from stockwave import (
     price_distribution,
     upsilon_state,
 )
+from stockwave.evolution import record_blocks
 from stockwave.lattice import NORMALIZATION_TOL
 from helpers import random_lattice_function, random_state
 
 
 def test_delta_basis_orthonormality():
-    d3 = delta_state(3, 8).base
-    d5 = delta_state(5, 8).base
+    d3 = delta_state(3, 8)
+    d5 = delta_state(5, 8)
     assert inner_product(d3, d3) == 1.0 + 0.0j
     assert inner_product(d3, d5) == 0.0 + 0.0j
 
@@ -62,7 +66,7 @@ def test_inner_product_sesquilinear():
 
 
 def test_norm_delta_and_zero():
-    assert norm(delta_state(4, 9).base) == 1.0
+    assert norm(delta_state(4, 9)) == 1.0
     assert norm(LatticeFunction(np.zeros(5))) == 0.0
 
 
@@ -196,8 +200,8 @@ def test_owner_distribution_delta_is_uniform():
 
 
 def test_owner_distribution_of_owner_eigenstate():
-    eigen = inverse(delta_state(5, 21).base)
-    probs = owner_distribution(NormalizedState(eigen)).probs
+    eigen = inverse(delta_state(5, 21))
+    probs = owner_distribution(NormalizedState(eigen.values)).probs
     assert probs[5] == pytest.approx(1.0, abs=1e-12)
     mask = np.arange(21) != 5
     assert np.all(probs[mask] < 1e-12)
@@ -222,8 +226,8 @@ def test_delta_basis_completeness():
     state = random_state(rng, 12)
     rebuilt = np.zeros(12, dtype=complex)
     for m in range(12):
-        basis = delta_state(m, 12).base
-        rebuilt += inner_product(basis, state.base) * basis.values
+        basis = delta_state(m, 12)
+        rebuilt += inner_product(basis, state) * basis.values
     assert np.array_equal(rebuilt, state.values)
 
 
@@ -246,7 +250,45 @@ def test_lattice_function_is_immutable():
 
 def test_normalized_state_rejects_bad_norm():
     with pytest.raises(ValueError):
-        NormalizedState(LatticeFunction([1.0, 1.0]))
+        NormalizedState([1.0, 1.0])
+
+
+def test_a_state_is_a_lattice_function():
+    # one state type: a unit-norm LatticeFunction with no field of its own
+    assert issubclass(NormalizedState, LatticeFunction)
+    assert dataclasses.fields(NormalizedState) == dataclasses.fields(LatticeFunction)
+    packet = gaussian_packet(PacketParams(ThetaParams(2.0 / 3.0, 21), 7, 14))
+    for state in (delta_state(3, 8), normalize(LatticeFunction(np.ones(4))), packet):
+        assert type(state) is NormalizedState
+        assert isinstance(state, LatticeFunction)
+
+
+def test_normalized_state_copies_its_input_read_only():
+    x = np.array([0.6, 0.8j])
+    state = NormalizedState(x)
+    x[0] = 5.0
+    assert state.values.tolist() == [0.6, 0.8j]
+    with pytest.raises(ValueError):
+        state.values[0] = 1.0
+
+
+def test_normalized_state_rejects_bad_values():
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        NormalizedState([1.0, np.nan])
+    with pytest.raises(ValueError, match="non-empty 1-d sequence"):
+        NormalizedState([[1.0]])
+    with pytest.raises(ValueError, match="non-empty 1-d sequence"):
+        NormalizedState(1.0)
+    with pytest.raises(ValueError, match="state is not normalized"):
+        NormalizedState([0.6, 0.6])
+
+
+def test_record_states_view_their_block():
+    params = EvolutionParams(mu=1.0, dt=0.1, steps=3)
+    (block,) = record_blocks(delta_state(2, 5), params, ZeroPotential())
+    for row, record in zip(block.states, block.records()):
+        assert type(record.state) is NormalizedState
+        assert np.shares_memory(record.state.values, row)
 
 
 def test_probability_vector_validation():

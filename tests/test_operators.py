@@ -44,7 +44,7 @@ def saturating_state() -> NormalizedState:
     # alternating-sign comb centered at price 10; near-saturates the bound
     ups = upsilon_state(ThetaParams(1.0, 21)).values.real
     n = np.arange(21)
-    return NormalizedState(LatticeFunction(((-1.0) ** n) * ups[(n - 10) % 21]))
+    return NormalizedState(((-1.0) ** n) * ups[(n - 10) % 21])
 
 
 def test_price_operator_diagonal_action():
@@ -68,7 +68,7 @@ def test_price_expectation_uniform():
 def test_ownership_eigenvector():
     size, m = 21, 5
     op = ownership_operator(size)
-    vec = inverse(delta_state(m, size).base).values
+    vec = inverse(delta_state(m, size)).values
     assert np.max(np.abs(op.apply(vec) - m * vec)) < 1e-10
     assert op.is_hermitian()
 
@@ -83,10 +83,10 @@ def test_ownership_trace():
 def test_owner_basis_coefficients_are_forward_transform():
     rng = np.random.default_rng(61)
     state = random_state(rng, 21)
-    spectrum = forward(state.base).values
+    spectrum = forward(state).values
     for m in (0, 4, 17):
-        basis = inverse(delta_state(m, 21).base)
-        coeff = inner_product(basis, state.base)
+        basis = inverse(delta_state(m, 21))
+        coeff = inner_product(basis, state)
         assert coeff == pytest.approx(spectrum[m], abs=1e-12)
 
 
@@ -110,7 +110,7 @@ def test_expectation_packet_mean_price():
 
 def test_expectation_owner_eigenstate():
     size, m = 21, 9
-    state = NormalizedState(inverse(delta_state(m, size).base))
+    state = NormalizedState(inverse(delta_state(m, size)).values)
     assert expectation(ownership_operator(size), state) == pytest.approx(m, abs=1e-9)
 
 
@@ -140,7 +140,7 @@ def test_uncertainty_point_state_with_rounded_norm():
     # norm 1 - 1.1e-16: <A^2> - <A>^2 cancelled to 4e-15, a spread of 4e-7
     values = np.zeros(21, dtype=complex)
     values[20] = 1.0 - 1e-16
-    state = NormalizedState(LatticeFunction(values))
+    state = NormalizedState(values)
     assert uncertainty(price_operator(21), state) < 1e-13
 
 
